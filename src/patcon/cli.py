@@ -190,6 +190,11 @@ def cmd_extremal(args) -> int:
             status = 3
             break
         print(f"ex({n},P) = {rec.value}")
+        print(
+            f"ex({n},P): {rec.nodes} search nodes, "
+            f"{100 * rec.nodes / args.node_budget:.2f}% of the node budget",
+            file=sys.stderr,
+        )
         records.append(rec)
     if args.witness_out:
         os.makedirs(args.witness_out, exist_ok=True)

@@ -43,7 +43,7 @@ class BitMatrix:
             raise ValueError(
                 f"cell count {len(self.cells)} does not match {self.rows}x{self.cols}"
             )
-        if max(self.cells) > 1:
+        if self.cells.translate(None, b"\0\1"):
             raise ValueError("cells must contain only 0 and 1")
 
     @classmethod
@@ -138,7 +138,7 @@ def transpose(M: BitMatrix) -> BitMatrix:
 
 
 def count_ones(M: BitMatrix) -> int:
-    return sum(M.cells)
+    return M.cells.count(1)
 
 
 @dataclass(frozen=True)

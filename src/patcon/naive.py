@@ -12,7 +12,9 @@ ordered subsequence matching). When P has more rows than columns the search
 runs on the transposed instance so the enumerated subset is the smaller one.
 
 This module exists to be trusted, not to be fast; every specialized scan in
-the package is tested against it.
+the package is tested against it. ``copies_through`` reuses the same greedy
+column matcher for the extremal search's incremental test, which looks only
+at copies of P through one newly placed 1.
 """
 
 from __future__ import annotations
@@ -47,6 +49,62 @@ def _greedy_columns(colmasks, needs) -> bool:
             if j == last:
                 return True
     return False
+
+
+def copies_through(P: BitMatrix, rows: int):
+    """Build a test for copies of P whose row-major last 1 lands on one given cell.
+
+    Returns ``through(colmasks, r, c)`` for matrices with ``rows`` rows, given
+    as per-column row bitmasks (bit r of ``colmasks[c]`` is the 0-based cell
+    (r, c)). It answers whether some copy of P maps P's row-major last 1,
+    at (i*, j*), onto (r, c). All rows of P below i* and the cells of row i*
+    right of j* are zero, so such a copy picks i* rows above r and needs
+    k-1-i* spare rows below it (k = P.rows); with the rows fixed, P's columns
+    before j* are matched greedily left of c and those after j* greedily
+    right of c, as in ``contains_naive``, with column j* pinned to c.
+
+    This decides containment incrementally: if A avoids P and (r, c) comes
+    after every 1 of A in row-major order, then A plus a 1 at (r, c) contains
+    P exactly when ``through`` holds, because a copy in the new matrix must
+    use the new 1, and the image of P's last 1 is then the new matrix's last 1.
+    """
+    if not any(P.cells):
+        raise ValueError("pattern has no ones")
+    last = P.cells.rindex(1)
+    i_star, j_star = divmod(last, P.cols)
+    tail_rows = P.rows - 1 - i_star
+    pat_cols = _pattern_column_rows(P)
+
+    def plan(r: int):
+        """(pin, left needs, right needs) row bitmasks for each row selection around row r."""
+        out = []
+        if rows - 1 - r >= tail_rows:
+            for sel in combinations(range(r), i_star):
+                needs = []
+                for rows_needed in pat_cols:
+                    m = 0
+                    for i in rows_needed:
+                        m |= 1 << (r if i == i_star else sel[i])
+                    needs.append(m)
+                out.append((needs[j_star], needs[:j_star], needs[j_star + 1 :]))
+        return out
+
+    plans = [plan(r) for r in range(rows)]
+
+    def through(colmasks, r: int, c: int) -> bool:
+        m = colmasks[c]
+        left = colmasks[:c]
+        right = colmasks[c + 1 :]
+        for pin, lneeds, rneeds in plans[r]:
+            if (
+                m & pin == pin
+                and (not lneeds or _greedy_columns(left, lneeds))
+                and (not rneeds or _greedy_columns(right, rneeds))
+            ):
+                return True
+        return False
+
+    return through
 
 
 def contains_naive(A: BitMatrix, P: BitMatrix) -> bool:

@@ -4,11 +4,15 @@
 checks each pattern cell directly. It shares no code path with the library's
 oracle (which enumerates rows only and matches columns greedily), so the two
 can validate each other.
+
+``ex_reference`` is the extremal search in its plain recursive form, deciding
+every node with a full ``contains_naive`` call; the library's incremental,
+explicit-stack ``ex_exact`` must reproduce it node for node.
 """
 
 from itertools import combinations
 
-from patcon import BitMatrix
+from patcon import BitMatrix, ExtremalRecord, contains_naive
 
 
 def contains_textbook(A: BitMatrix, P: BitMatrix) -> bool:
@@ -48,3 +52,29 @@ def all_patterns_up_to(max_rows: int, max_cols: int, require_ones: bool = False)
                 if require_ones and sum(P.cells) == 0:
                     continue
                 yield P
+
+
+def ex_reference(n: int, P: BitMatrix) -> ExtremalRecord:
+    """Recursive branch and bound over row-major cells, 1 before 0, full oracle per node."""
+    total = n * n
+    cells = bytearray(total)
+    best = [0, bytes(total)]
+    nodes = 0
+
+    def walk(idx: int, ones: int):
+        nonlocal nodes
+        nodes += 1
+        if idx == total:
+            if ones > best[0]:
+                best[:] = [ones, bytes(cells)]
+            return
+        if ones + (total - idx) <= best[0]:
+            return
+        cells[idx] = 1
+        if not contains_naive(BitMatrix(n, n, bytes(cells)), P):
+            walk(idx + 1, ones + 1)
+        cells[idx] = 0
+        walk(idx + 1, ones)
+
+    walk(0, 0)
+    return ExtremalRecord(n, P, best[0], BitMatrix(n, n, best[1]), nodes)

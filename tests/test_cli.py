@@ -5,6 +5,7 @@ import pytest
 from patcon import (
     all_ones,
     cross,
+    ex_exact,
     identity,
     load_cache,
     lshape,
@@ -108,6 +109,21 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out.startswith("CONTAINS")
 
+    def test_bounds_cache_of_another_pattern_exit_two(self, files, tmp_path, capsys):
+        # 6 ones exceed ex(3, I2) = 5 but not ex(3, J2) = 6: the matrix avoids J2
+        p_i2 = files("i2.txt", identity(2))
+        p_j2 = files("j2.txt", all_ones(2, 2))
+        a = files("a.txt", parse_matrix("110\n101\n011\n"))
+        cache = tmp_path / "c.txt"
+        assert main(["extremal", "--pattern", p_i2, "--n-max", "3",
+                     "--cache-out", str(cache)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--matrix", a, "--pattern", p_j2, "--bounds", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "different pattern" in captured.err
+        assert main(["check", "--matrix", a, "--pattern", p_j2]) == 1
+
     def test_missing_bounds_file_is_silently_ignored(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", all_ones(1, 1))
@@ -163,6 +179,23 @@ class TestExtremal:
         p = files("p.txt", zeros(2, 2))
         assert main(["extremal", "--pattern", p, "--n", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_deep_search_exit_zero(self, files, capsys):
+        p = files("p.txt", all_ones(1, 1))
+        assert main(["extremal", "--pattern", p, "--n", "32"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ex(32,P) = 0\n"
+        assert "internal error" not in captured.err
+
+    def test_search_nodes_reported_on_stderr(self, files, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        assert main(["extremal", "--pattern", p, "--n", "3", "--node-budget", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ex(3,P) = 6\n"
+        nodes = ex_exact(3, all_ones(2, 2)).nodes
+        assert captured.err == (
+            f"ex(3,P): {nodes} search nodes, {nodes / 10:.2f}% of the node budget\n"
+        )
 
     def test_budget_exhaustion_exit_three(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))

@@ -12,17 +12,23 @@ from patcon import (
     bounds_from_cache,
     contains_naive,
     count_ones,
+    cross,
     ex_exact,
     ex_table,
     identity,
     load_cache,
+    lshape,
+    parse_matrix,
     save_cache,
+    serialize,
     transpose,
     verify_record,
     zeros,
 )
 
-from helpers import all_patterns_up_to
+from helpers import all_patterns_up_to, ex_reference
+
+G = parse_matrix("101\n011\n")
 
 
 def ex_by_enumeration(n: int, P: BitMatrix) -> int:
@@ -69,7 +75,48 @@ class TestAgainstEnumeration:
                 assert ex_exact(n, P).value == ex_by_enumeration(n, P)
 
 
+class TestAgainstReferenceSearch:
+    """The incremental search visits the recursive full-oracle search's nodes, in order."""
+
+    def test_every_pattern_up_to_3x3_at_n_up_to_3(self):
+        for P in all_patterns_up_to(3, 3, require_ones=True):
+            for n in (1, 2, 3):
+                assert ex_exact(n, P) == ex_reference(n, P), (serialize(P), n)
+
+    def test_every_pattern_up_to_2x2_at_n4(self):
+        for P in all_patterns_up_to(2, 2, require_ones=True):
+            assert ex_exact(4, P) == ex_reference(4, P), serialize(P)
+
+    def test_named_patterns_at_n4(self):
+        for P in (all_ones(2, 2), identity(3), G, lshape(2, 3), cross(3, 3, 2, 2)):
+            assert ex_exact(4, P) == ex_reference(4, P), serialize(P)
+
+    def test_benchmark_pairs_frozen(self):
+        # Values, witnesses and node counts of the recursive search before it
+        # became incremental; the node counts fix the budget semantics too.
+        cases = [
+            (5, all_ones(2, 2), 12, 725_913, "11110/10001/01001/00101/00011"),
+            (5, identity(3), 16, 165_969, "11111/11111/11000/11000/11000"),
+            (6, identity(2), 11, 322_446, "111111/100000/100000/100000/100000/100000"),
+            (5, G, 15, 276_678, "11000/01111/11100/11010/11001"),
+        ]
+        for n, P, value, nodes, witness in cases:
+            rec = ex_exact(n, P)
+            assert (rec.value, rec.nodes) == (value, nodes)
+            assert rec.witness == parse_matrix(witness.replace("/", "\n"))
+
+    def test_deep_search_needs_no_recursion(self):
+        rec = ex_exact(32, all_ones(1, 1))
+        assert rec.value == 0
+        assert rec.nodes == 32 * 32 + 1
+
+
 class TestRecordValidation:
+    def test_nodes_default_for_four_argument_records(self):
+        rec = ExtremalRecord(1, all_ones(1, 1), 0, zeros(1, 1))
+        assert rec.nodes == 0
+        assert verify_record(rec)
+
     def test_produced_records_verify(self):
         for P in (all_ones(2, 2), identity(2), all_ones(2, 1)):
             for n in (1, 2, 3):
@@ -105,6 +152,12 @@ class TestErrors:
             ex_exact(4, all_ones(2, 2), node_budget=50)
         assert info.value.n == 4
         assert info.value.budget == 50
+
+    def test_budget_equal_to_nodes_suffices(self):
+        nodes = ex_exact(4, all_ones(2, 2)).nodes
+        assert ex_exact(4, all_ones(2, 2), node_budget=nodes).nodes == nodes
+        with pytest.raises(SearchBudgetExceeded):
+            ex_exact(4, all_ones(2, 2), node_budget=nodes - 1)
 
 
 class TestStructuralProperties:
@@ -150,3 +203,41 @@ class TestCacheFile:
         for n, value, witness in load_cache(path):
             assert count_ones(witness) == value
             assert not contains_naive(witness, P)
+
+    def test_file_records_its_pattern(self, tmp_path):
+        P = identity(2)
+        path = tmp_path / "cache.txt"
+        save_cache(ex_table(2, P), path)
+        head = path.read_text().split("\n\n")[0]
+        assert parse_matrix(head.split("\n", 1)[1]) == P
+
+    def test_bounds_for_another_pattern_rejected(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        save_cache(ex_table(3, identity(2)), path)
+        with pytest.raises(ValueError, match="different pattern"):
+            bounds_from_cache(path, all_ones(2, 2))
+
+    def test_mixed_patterns_not_saved(self, tmp_path):
+        records = [ex_exact(2, identity(2)), ex_exact(2, all_ones(2, 2))]
+        with pytest.raises(ValueError):
+            save_cache(records, tmp_path / "cache.txt")
+
+    def test_file_without_pattern_rejected(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("1 1\n1\n\n2 3\n11\n10\n")
+        with pytest.raises(ValueError, match="pattern"):
+            load_cache(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "3 6\n111\n100\n100\n",  # value above the witness's ones count
+            "3 5\n11\n10\n",  # witness not 3x3
+            "3 6\n111\n110\n100\n",  # witness contains the pattern
+        ],
+    )
+    def test_unverified_record_rejected(self, tmp_path, record):
+        path = tmp_path / "cache.txt"
+        path.write_text(f"pattern\n10\n01\n\n{record}")
+        with pytest.raises(ValueError, match="n=3"):
+            load_cache(path)

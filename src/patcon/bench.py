@@ -22,38 +22,15 @@ import statistics
 from dataclasses import dataclass
 from time import perf_counter
 
-from .matrix import (
-    AllOnes,
-    BitMatrix,
-    ColumnOnes,
-    Cross,
-    Identity,
-    LShape,
-    RowOnes,
-    TupleIdentity,
-    classify_pattern,
-    transpose,
-)
+from .matrix import BitMatrix, classify_pattern
 from .naive import contains_naive
-from .fast import (
-    contains_cross,
-    dispatch,
-    max_allones_rows,
-    max_column_ones,
-    max_identity,
-    max_lshape_height,
-    max_tuple_identity_width,
-)
+from .fast import FAMILIES, LABELS, UnsupportedPatternError, dispatch, match_label
 
 log = logging.getLogger(__name__)
 
 
 class BenchConfigError(ValueError):
     """Invalid benchmark configuration or label/pattern mismatch."""
-
-
-class UnsupportedPatternError(ValueError):
-    """No dense avoiding construction is known for this pattern class."""
 
 
 def gen_random(n: int, density: float, seed: int) -> BitMatrix:
@@ -72,113 +49,46 @@ def gen_random(n: int, density: float, seed: int) -> BitMatrix:
     return BitMatrix(n, n, bytes(1 if draw() < density else 0 for _ in range(n * n)))
 
 
-def _full_rows(n: int, m: int) -> BitMatrix:
-    """n x n matrix whose first m rows are all ones."""
-    m = min(m, n)
-    return BitMatrix(n, n, b"\x01" * (m * n) + bytes((n - m) * n))
-
-
-def _corner(n: int, m: int) -> BitMatrix:
-    """n x n matrix with ones exactly in the first m rows and first m columns."""
-    m = min(m, n)
-    cells = bytearray(n * n)
-    for r in range(n):
-        for c in range(n):
-            if r < m or c < m:
-                cells[r * n + c] = 1
-    return BitMatrix(n, n, bytes(cells))
-
-
 def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
     """Dense n x n matrix avoiding P, for worst-case full-scan inputs.
 
-    Constructions by class: m-1 full rows starve any column of its m-th one
-    (column-ones, L-shape, cross, all-ones, tuple identity, all via their row
-    requirement); the identity avoider fills the first k-1 rows and first k-1
-    columns, which caps any increasing chain of ones below k. Every output is
-    re-verified by dispatch before it is returned.
+    The construction is the avoider of P's family in ``fast.FAMILIES``.
+    Every output is re-verified by dispatch before it is returned.
     """
     if n < 1:
         raise ValueError("n must be positive")
     cls = classify_pattern(P)
-    match cls:
-        case ColumnOnes(k=k):
-            if k < 2:
-                raise UnsupportedPatternError(
-                    "only the all-zero matrix avoids a single 1; no dense avoider"
-                )
-            M = _full_rows(n, k - 1)
-        case RowOnes(w=w):
-            if w < 2:
-                raise UnsupportedPatternError(
-                    "only the all-zero matrix avoids a single 1; no dense avoider"
-                )
-            M = transpose(_full_rows(n, w - 1))
-        case Identity(k=k):
-            if k < 2:
-                raise UnsupportedPatternError(
-                    "only the all-zero matrix avoids a single 1; no dense avoider"
-                )
-            M = _corner(n, k - 1)
-        case TupleIdentity(j=j, k=k):
-            M = _full_rows(n, j * k - 1)
-        case LShape(h=h, w=_):
-            M = _full_rows(n, h - 1)
-        case Cross(a=a):
-            M = _full_rows(n, a - 1)
-        case AllOnes(k=k, l=_):
-            M = _full_rows(n, k - 1)
-        case _:
-            raise UnsupportedPatternError(f"no avoider construction for {cls}")
+    family = FAMILIES.get(type(cls))
+    if family is None:
+        raise UnsupportedPatternError(f"no avoider construction for {cls!r}")
+    M = family.avoider(n, *cls.__dict__.values())
     if dispatch(M, P):
-        raise RuntimeError(f"avoider construction for {cls} failed verification")
+        raise RuntimeError(f"avoider construction for {cls!r} failed verification")
     return M
 
 
 # --- timed runners -----------------------------------------------------------
 
-BENCH_LABELS = ("naive", "auto", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
 
+def _runner_for(label: str, P: BitMatrix):
+    """Map a label to the callable timed on each input matrix.
 
-def _runner_for(label: str, P: BitMatrix, cls):
-    """Map a label to the callable timed on each input matrix."""
+    A scan label is resolved structurally, as ``check --algo`` resolves it,
+    and runs its family's full-scan verdict.
+    """
     if label == "naive":
         return lambda A: contains_naive(A, P)
     if label == "auto":
         return lambda A: dispatch(A, P)
-    if label == "column":
-        match cls:
-            case ColumnOnes(k=k):
-                return lambda A: max_column_ones(A) >= k
-            case RowOnes(w=w):
-                return lambda A: max_column_ones(transpose(A)) >= w
-    if label == "identity":
-        match cls:
-            case Identity(k=k):
-                return lambda A: max_identity(A) >= k
-    if label == "tuple-identity":
-        match cls:
-            case TupleIdentity(j=j, k=k):
-                return lambda A: max_tuple_identity_width(A, j) >= k
-            case Identity(k=k):
-                return lambda A: max_tuple_identity_width(A, 1) >= k
-    if label == "lshape":
-        match cls:
-            case LShape(h=h, w=w):
-                return lambda A: max_lshape_height(A, w) >= h
-    if label == "cross":
-        match cls:
-            case Cross(a=a, b=b, c=c, d=d):
-                return lambda A: contains_cross(A, a, b, c, d)
-    if label == "allones":
-        match cls:
-            case AllOnes(k=k, l=l):
-                if l <= k:
-                    return lambda A: max_allones_rows(A, l) >= k
-                return lambda A: max_allones_rows(transpose(A), k) >= l
-    if label not in BENCH_LABELS:
+    if label not in LABELS:
         raise BenchConfigError(f"unknown algorithm label {label!r}")
-    raise BenchConfigError(f"label {label!r} does not apply to pattern class {cls}")
+    fit = match_label(label, P)
+    if fit is None:
+        raise BenchConfigError(
+            f"label {label!r} does not apply to pattern class {classify_pattern(P)!r}"
+        )
+    family, fields = fit
+    return lambda A: family.scan(A, *fields)
 
 
 @dataclass(frozen=True)
@@ -233,8 +143,7 @@ def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials:
     if not 0.0 <= density <= 1.0:
         raise BenchConfigError("density must lie in [0, 1]")
 
-    cls = classify_pattern(P)
-    runners = [(label, _runner_for(label, P, cls)) for label in algos]
+    runners = [(label, _runner_for(label, P)) for label in algos]
     inputs = {n: [gen_random(n, density, seed + t) for t in range(trials)] for n in sizes}
 
     reports = []

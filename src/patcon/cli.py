@@ -12,49 +12,19 @@ import argparse
 import os
 import sys
 
-from .matrix import (
-    BitMatrix,
-    ColumnOnes,
-    Cross,
-    AllOnes,
-    Identity,
-    LShape,
-    MatrixFormatError,
-    RowOnes,
-    TupleIdentity,
-    as_all_ones,
-    as_column_ones,
-    as_cross,
-    as_identity,
-    as_lshape,
-    as_row_ones,
-    as_tuple_identity,
-    classify_pattern,
-    parse_matrix,
-    serialize,
-    transpose,
-)
+from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
 from .naive import contains_naive
-from .fast import (
-    contains_allones,
-    contains_column_ones,
-    contains_cross,
-    contains_identity,
-    contains_lshape,
-    contains_tuple_identity,
-    dispatch,
-)
+from .fast import LABELS, dispatch, match_label, route_label
 from .extremal import (
-    ExtremalRecord,
     SearchBudgetExceeded,
     DEFAULT_NODE_BUDGET,
     bounds_from_cache,
     ex_exact,
     save_cache,
 )
-from .bench import BenchConfigError, UnsupportedPatternError, bench_compare, write_bench_csv
+from .bench import BenchConfigError, bench_compare, write_bench_csv
 
-ALGO_CHOICES = ("auto", "naive", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
+ALGO_CHOICES = ("auto", "naive", *LABELS)
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -65,107 +35,28 @@ def _read_matrix(path: str) -> BitMatrix:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _describe(cls) -> str:
-    match cls:
-        case ColumnOnes(k=k):
-            return f"column-ones k={k}"
-        case RowOnes(w=w):
-            return f"row-ones w={w}"
-        case AllOnes(k=k, l=l):
-            return f"all-ones k={k} l={l}"
-        case Identity(k=k):
-            return f"identity k={k}"
-        case TupleIdentity(j=j, k=k):
-            return f"tuple-identity j={j} k={k}"
-        case LShape(h=h, w=w):
-            return f"lshape h={h} w={w}"
-        case Cross(a=a, b=b, c=c, d=d):
-            return f"cross a={a} b={b} c={c} d={d}"
-        case _:
-            return "general"
-
-
-def _label_for(cls) -> str:
-    """The algorithm label dispatch effectively routes this class to."""
-    match cls:
-        case ColumnOnes() | RowOnes():
-            return "column"
-        case AllOnes():
-            return "allones"
-        case Identity():
-            return "identity"
-        case TupleIdentity():
-            return "tuple-identity"
-        case LShape():
-            return "lshape"
-        case Cross():
-            return "cross"
-        case _:
-            return "naive"
-
-
 def _forced_runner(name: str, P: BitMatrix):
-    """Resolve a forced --algo selector structurally against the pattern.
-
-    Structural (not canonical-priority) matching, so e.g. --algo identity
-    works on the 1x1 pattern even though it canonically classifies as a
-    column of ones. Returns a callable or raises BenchConfigError.
-    """
+    """Resolve a forced --algo selector by ``fast.match_label``; BenchConfigError if none fits."""
     if name == "naive":
         return lambda A: contains_naive(A, P)
-    if name == "column":
-        k = as_column_ones(P)
-        if k is not None:
-            return lambda A: contains_column_ones(A, k)
-        w = as_row_ones(P)
-        if w is not None:
-            return lambda A: contains_column_ones(transpose(A), w)
-    elif name == "identity":
-        k = as_identity(P)
-        if k is not None:
-            return lambda A: contains_identity(A, k)
-    elif name == "tuple-identity":
-        jk = as_tuple_identity(P)
-        if jk is not None:
-            j, k = jk
-            return lambda A: contains_tuple_identity(A, j, k)
-    elif name == "lshape":
-        hw = as_lshape(P)
-        if hw is not None:
-            h, w = hw
-            return lambda A: contains_lshape(A, h, w)
-    elif name == "cross":
-        abcd = as_cross(P)
-        if abcd is not None:
-            a, b, c, d = abcd
-            return lambda A: contains_cross(A, a, b, c, d)
-        w = as_row_ones(P)
-        if w is not None:  # a full row is a cross with c=1 and any d
-            return lambda A: contains_cross(A, 1, w, 1, 1)
-        k = as_column_ones(P)
-        if k is not None:
-            return lambda A: contains_cross(A, k, 1, 1, 1)
-    elif name == "allones":
-        kl = as_all_ones(P)
-        if kl is not None:
-            k, l = kl
-            return lambda A: contains_allones(A, k, l)
-    raise BenchConfigError(f"pattern does not fit the {name!r} algorithm")
+    fit = match_label(name, P)
+    if fit is None:
+        raise BenchConfigError(f"pattern does not fit the {name!r} algorithm")
+    family, fields = fit
+    return lambda A: family.contains(A, *fields)
 
 
 def cmd_check(args) -> int:
     A = _read_matrix(args.matrix)
     P = _read_matrix(args.pattern)
-    cls = classify_pattern(P)
     if args.algo == "auto":
         bounds = None
         if args.bounds and os.path.exists(args.bounds):
             bounds = bounds_from_cache(args.bounds, P)
         result = dispatch(A, P, bounds)
-        label = _label_for(cls)
+        label = route_label(classify_pattern(P))
     else:
-        runner = _forced_runner(args.algo, P)
-        result = runner(A)
+        result = _forced_runner(args.algo, P)(A)
         label = args.algo
     print(f"{'CONTAINS' if result else 'AVOIDS'} {label}")
     return 0 if result else 1
@@ -173,14 +64,16 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     P = _read_matrix(args.pattern)
-    print(_describe(classify_pattern(P)))
+    print(classify_pattern(P))
     return 0
 
 
 def cmd_extremal(args) -> int:
     P = _read_matrix(args.pattern)
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError("n-max must be positive")
     ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-    records: list[ExtremalRecord] = []
+    records = []
     status = 0
     for n in ns:
         try:
@@ -215,7 +108,7 @@ def cmd_bench(args) -> int:
     if args.algos:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     else:
-        algos = [_label_for(classify_pattern(P))]
+        algos = [route_label(classify_pattern(P))]
     reports = bench_compare(algos, P, sizes, args.density, args.seed, args.trials)
     write_bench_csv(reports, args.csv)
     for rep in reports:
@@ -272,10 +165,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (MatrixFormatError, BenchConfigError, UnsupportedPatternError, ValueError) as exc:
-        print(f"patcon: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # MatrixFormatError and BenchConfigError included
         print(f"patcon: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # total exit contract: anything unexpected is an error

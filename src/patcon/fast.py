@@ -16,6 +16,13 @@ reached; stopping early never changes the verdict because every tracked
 quantity only grows during the scan. The max form never stops early, which
 makes it the right subject for worst-case timing.
 
+``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
+``matrix.py`` to its route label, its ``contains_*`` call, its full-scan
+``max_*`` verdict and its dense avoider; ``dispatch``, the CLI's ``--algo``
+selectors and ``bench``'s timed runners and avoiders are all read from it,
+so a new family is one new entry. The entries look the scans up as module
+globals at call time.
+
 ``dispatch`` classifies the pattern, optionally applies the ones-count
 prefilter when the caller supplies a trusted extremal bound, routes to the
 matching scan, and falls back to the brute-force oracle for general patterns.
@@ -26,16 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Callable
 
 from .matrix import (
+    PATTERN_SHAPES,
     AllOnes,
     BitMatrix,
     ColumnOnes,
     Cross,
     Identity,
     LShape,
+    PatternClass,
     RowOnes,
-    SparseEntries,
     TupleIdentity,
     classify_pattern,
     count_ones,
@@ -65,45 +74,6 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
 
 
 # --- identity and tuple identity ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityDP:
-    """Completed suffix table of the identity dynamic program.
-
-    ``table[r][c]`` (1-based, sentinel zeros at r = rows+1 and c = cols+1) is
-    the widest j-tuple identity contained in the submatrix on rows r.. and
-    columns c..; row/column 0 are unused padding.
-    """
-
-    rows: int
-    cols: int
-    j: int
-    table: tuple
-
-
-def identity_dp(A: BitMatrix, j: int = 1) -> IdentityDP:
-    """Build the full suffix table; table[1][1] is the maximum width."""
-    if j < 1:
-        raise ValueError("j must be positive")
-    R, C = A.rows, A.cols
-    D = [[0] * (C + 2) for _ in range(R + 2)]
-    for c in range(C, 0, -1):
-        col = A.column(c)
-        one_rows = []
-        for r in range(R, 0, -1):
-            v = D[r + 1][c]
-            w = D[r][c + 1]
-            if w > v:
-                v = w
-            if col[r - 1]:
-                one_rows.append(r)
-                if len(one_rows) >= j:
-                    t = 1 + D[one_rows[-j] + 1][c + 1]
-                    if t > v:
-                        v = t
-            D[r][c] = v
-    return IdentityDP(R, C, j, tuple(tuple(row) for row in D))
 
 
 def _tuple_scan(A: BitMatrix, j: int, stop_at) -> int:
@@ -219,34 +189,6 @@ def contains_lshape(A: BitMatrix, h: int, w: int) -> bool:
 
 
 # --- cross --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossCounts:
-    """Per-entry tallies aligned with SparseEntries.entries.
-
-    left/right count ones strictly left/right of the entry in its row;
-    up/down count ones strictly above/below in its column.
-    """
-
-    left: tuple
-    right: tuple
-    up: tuple
-    down: tuple
-
-
-def cross_counts(E: SparseEntries) -> CrossCounts:
-    """Left/right/up/down tallies for every 1-entry, in linear passes."""
-    row_total = [0] * (E.source_rows + 1)
-    col_total = [0] * (E.source_cols + 1)
-    for r, c in E.entries:
-        row_total[r] += 1
-        col_total[c] += 1
-    left = E.row_rank
-    up = E.col_rank
-    right = tuple(row_total[r] - 1 - lk for (r, _), lk in zip(E.entries, left))
-    down = tuple(col_total[c] - 1 - uk for (_, c), uk in zip(E.entries, up))
-    return CrossCounts(left, right, up, down)
 
 
 def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
@@ -366,6 +308,119 @@ def ones_prefilter(A: BitMatrix, bound: int) -> PrefilterResult:
     return PrefilterResult.UNKNOWN
 
 
+# --- the pattern-family table ----------------------------------------------------
+
+
+class UnsupportedPatternError(ValueError):
+    """No dense avoiding construction is known for this pattern class."""
+
+
+def _full_rows(n: int, m: int) -> BitMatrix:
+    """n x n matrix whose first m rows are all ones: no column has m+1 ones."""
+    if m < 1:
+        raise UnsupportedPatternError(
+            "only the all-zero matrix avoids a single 1; no dense avoider"
+        )
+    m = min(m, n)
+    return BitMatrix(n, n, b"\x01" * (m * n) + bytes((n - m) * n))
+
+
+def _corner(n: int, m: int) -> BitMatrix:
+    """n x n matrix with ones exactly in its first m rows and columns: no increasing m+1 chain."""
+    m = min(m, n)
+    return BitMatrix(n, n, b"\x01" * (m * n) + (b"\x01" * m + bytes(n - m)) * (n - m))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A pattern family; its callables take the class's fields after their first argument.
+
+    ``label`` names the route in CLI output and in the ``--algo``/``--algos``
+    selectors; ``contains(A, ...)`` is the early-exit scan dispatch runs,
+    ``scan(A, ...)`` the same verdict from the full ``max_*`` scan bench
+    times, and ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern.
+    """
+
+    label: str
+    contains: Callable[..., bool]
+    scan: Callable[..., bool]
+    avoider: Callable[..., BitMatrix]
+
+
+FAMILIES = {
+    ColumnOnes: Family(
+        "column",
+        contains=lambda A, k: contains_column_ones(A, k),
+        scan=lambda A, k: max_column_ones(A) >= k,
+        avoider=lambda n, k: _full_rows(n, k - 1),
+    ),
+    RowOnes: Family(
+        "column",
+        contains=lambda A, w: contains_column_ones(transpose(A), w),
+        scan=lambda A, w: max_column_ones(transpose(A)) >= w,
+        avoider=lambda n, w: transpose(_full_rows(n, w - 1)),
+    ),
+    Identity: Family(
+        "identity",
+        contains=lambda A, k: contains_identity(A, k),
+        scan=lambda A, k: max_identity(A) >= k,
+        avoider=lambda n, k: _corner(n, k - 1),
+    ),
+    TupleIdentity: Family(
+        "tuple-identity",
+        contains=lambda A, j, k: contains_tuple_identity(A, j, k),
+        scan=lambda A, j, k: max_tuple_identity_width(A, j) >= k,
+        avoider=lambda n, j, k: _full_rows(n, j * k - 1),
+    ),
+    LShape: Family(
+        "lshape",
+        contains=lambda A, h, w: contains_lshape(A, h, w),
+        scan=lambda A, h, w: max_lshape_height(A, w) >= h,
+        avoider=lambda n, h, w: _full_rows(n, h - 1),
+    ),
+    Cross: Family(
+        "cross",
+        contains=lambda A, a, b, c, d: contains_cross(A, a, b, c, d),
+        scan=lambda A, a, b, c, d: contains_cross(A, a, b, c, d),  # no max_* form
+        avoider=lambda n, a, b, c, d: _full_rows(n, a - 1),
+    ),
+    AllOnes: Family(
+        "allones",
+        contains=lambda A, k, l: contains_allones(A, k, l),
+        # the orientation contains_allones picks: subsets of size min(k, l)
+        scan=lambda A, k, l: (
+            max_allones_rows(A, l) >= k if l <= k else max_allones_rows(transpose(A), k) >= l
+        ),
+        avoider=lambda n, k, l: _full_rows(n, k - 1),
+    ),
+}
+
+# The scan labels, in table order; "naive" (the oracle) is not among them.
+LABELS = tuple(dict.fromkeys(family.label for family in FAMILIES.values()))
+
+
+def route_label(shape: PatternClass) -> str:
+    """The label dispatch routes this class to: its family's, or naive for the oracle."""
+    family = FAMILIES.get(type(shape))
+    return family.label if family else "naive"
+
+
+def match_label(label: str, P: BitMatrix):
+    """(family, fields) of the first family under ``label`` whose matcher accepts P, else None.
+
+    The matching is structural, not by canonical priority: ``identity`` fits
+    the 1x1 pattern although it classifies as a column of ones, and
+    ``column`` fits a row of ones through its transpose.
+    """
+    for shape, match in PATTERN_SHAPES:
+        family = FAMILIES.get(shape)
+        if family is not None and family.label == label:
+            fields = match(P)
+            if fields is not None:
+                return family, fields
+    return None
+
+
 def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
     """Decide containment via the cheapest applicable scan.
 
@@ -378,21 +433,8 @@ def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
         bound = bounds.get((A.rows, P))
         if bound is not None and ones_prefilter(A, bound) is PrefilterResult.CONTAINS:
             return True
-    cls = classify_pattern(P)
-    match cls:
-        case ColumnOnes(k=k):
-            return contains_column_ones(A, k)
-        case RowOnes(w=w):
-            return contains_column_ones(transpose(A), w)
-        case AllOnes(k=k, l=l):
-            return contains_allones(A, k, l)
-        case Identity(k=k):
-            return contains_identity(A, k)
-        case TupleIdentity(j=j, k=k):
-            return contains_tuple_identity(A, j, k)
-        case LShape(h=h, w=w):
-            return contains_lshape(A, h, w)
-        case Cross(a=a, b=b, c=c, d=d):
-            return contains_cross(A, a, b, c, d)
-        case _:
-            return contains_naive(A, P)
+    shape = classify_pattern(P)
+    family = FAMILIES.get(type(shape))
+    if family is None:
+        return contains_naive(A, P)
+    return family.contains(A, *shape.__dict__.values())

@@ -1,21 +1,22 @@
-"""Dense and sparse 0-1 matrices, their text formats, and pattern-shape classification.
+"""0-1 matrices, their text formats, and pattern-shape classification.
 
-Two representations are used throughout the package:
-
-* ``BitMatrix`` -- an immutable dense matrix with 1-based ``get(r, c)`` access.
-* ``SparseEntries`` -- the row-major sorted coordinate list of 1-entries,
-  annotated with each entry's ordinal rank inside its row (left to right) and
-  inside its column (top to bottom).
+Every layer of the package works on one representation: ``BitMatrix``, an
+immutable dense matrix stored row-major with 1-based ``get(r, c)`` access.
+The sparse text format is only a file format; it parses into a BitMatrix.
 
 ``classify_pattern`` recognizes the pattern families that have specialized
 containment scans. Several families overlap (a single 1 is simultaneously a
-column of ones, an identity, a cross, ...), so classification applies a fixed
-priority -- column-ones, row-ones, all-ones, identity, tuple identity,
-L-shape, cross, general -- and every pattern gets exactly one canonical class.
+column of ones, an identity, a cross, ...), so classification tries the
+structural matchers of ``PATTERN_SHAPES`` in a fixed priority -- column-ones,
+row-ones, all-ones, identity, tuple identity, L-shape, cross -- and every
+pattern gets exactly one canonical class, ``General`` when none matches.
+What each family is decided, timed and avoided with lives in the family
+table of ``fast.py``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -89,35 +90,26 @@ def all_ones(rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, b"\x01" * (rows * cols))
 
 
-def identity(k: int) -> BitMatrix:
-    """k x k matrix with ones exactly on the diagonal."""
-    cells = bytearray(k * k)
-    for i in range(k):
-        cells[i * k + i] = 1
-    return BitMatrix(k, k, bytes(cells))
-
-
 def tuple_identity(j: int, k: int) -> BitMatrix:
     """jk x k matrix where column i carries a block of j ones in rows (i-1)j+1 .. ij."""
     if j < 1 or k < 1:
         raise ValueError("tuple identity parameters must be positive")
     cells = bytearray(j * k * k)
-    for i in range(k):
-        for r in range(i * j, (i + 1) * j):
-            cells[r * k + i] = 1
+    for r in range(j * k):
+        cells[r * k + r // j] = 1
     return BitMatrix(j * k, k, bytes(cells))
 
 
+def identity(k: int) -> BitMatrix:
+    """k x k matrix with ones exactly on the diagonal: the width-1 tuple identity."""
+    return tuple_identity(1, k)
+
+
 def lshape(h: int, w: int) -> BitMatrix:
-    """h x w matrix with ones exactly in column 1 and row h."""
+    """h x w matrix with ones exactly in column 1 and row h: the cross centered at (h, 1)."""
     if h < 1 or w < 1:
         raise ValueError("lshape dimensions must be positive")
-    cells = bytearray(h * w)
-    for r in range(h):
-        cells[r * w] = 1
-    for c in range(w):
-        cells[(h - 1) * w + c] = 1
-    return BitMatrix(h, w, bytes(cells))
+    return cross(h, w, h, 1)
 
 
 def cross(a: int, b: int, c: int, d: int) -> BitMatrix:
@@ -125,10 +117,8 @@ def cross(a: int, b: int, c: int, d: int) -> BitMatrix:
     if not (1 <= c <= a and 1 <= d <= b):
         raise ValueError("cross center must lie inside the matrix")
     cells = bytearray(a * b)
-    for j in range(b):
-        cells[(c - 1) * b + j] = 1
-    for i in range(a):
-        cells[i * b + (d - 1)] = 1
+    cells[(c - 1) * b : c * b] = b"\x01" * b
+    cells[d - 1 :: b] = b"\x01" * a
     return BitMatrix(a, b, bytes(cells))
 
 
@@ -141,66 +131,16 @@ def count_ones(M: BitMatrix) -> int:
     return M.cells.count(1)
 
 
-@dataclass(frozen=True)
-class SparseEntries:
-    """Sorted coordinate list of the 1-entries of a matrix.
-
-    ``entries`` are 1-based (row, col) pairs in strictly increasing row-major
-    order. ``row_rank[i]`` is the 0-based position of entry i among the ones
-    of its row (left to right); ``col_rank[i]`` the position among the ones of
-    its column (top to bottom).
-    """
-
-    source_rows: int
-    source_cols: int
-    entries: tuple
-    row_rank: tuple
-    col_rank: tuple
-
-    def __post_init__(self):
-        if not (len(self.entries) == len(self.row_rank) == len(self.col_rank)):
-            raise ValueError("entries and rank sequences must have equal length")
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
-
-def _build_sparse(rows: int, cols: int, sorted_entries) -> SparseEntries:
-    row_rank = []
-    col_rank = []
-    row_seen = [0] * (rows + 1)
-    col_seen = [0] * (cols + 1)
-    for r, c in sorted_entries:
-        row_rank.append(row_seen[r])
-        col_rank.append(col_seen[c])
-        row_seen[r] += 1
-        col_seen[c] += 1
-    return SparseEntries(rows, cols, tuple(sorted_entries), tuple(row_rank), tuple(col_rank))
-
-
-def to_sparse(M: BitMatrix) -> SparseEntries:
-    """Coordinate list of M's 1-entries with row/column ordinal ranks."""
-    entries = []
-    for r in range(1, M.rows + 1):
-        rowb = M.row(r)
-        for i, v in enumerate(rowb):
-            if v:
-                entries.append((r, i + 1))
-    return _build_sparse(M.rows, M.cols, entries)
-
-
-def transpose_sparse(E: SparseEntries) -> SparseEntries:
-    """Sparse form of the transposed matrix."""
-    flipped = sorted((c, r) for r, c in E.entries)
-    return _build_sparse(E.source_cols, E.source_rows, flipped)
-
-
 # --- pattern classification -------------------------------------------------
 
 
 class PatternClass:
     """Base class of the pattern-shape classifications."""
+
+    def __str__(self) -> str:
+        """The ``classify`` text: the class name in kebab case, then field=value pairs."""
+        name = re.sub(r"(?<=[a-z])(?=[A-Z])", "-", type(self).__name__).lower()
+        return " ".join([name, *(f"{field}={value}" for field, value in vars(self).items())])
 
 
 @dataclass(frozen=True)
@@ -250,16 +190,16 @@ class General(PatternClass):
 
 
 def as_column_ones(P: BitMatrix):
-    """k if P is a k x 1 column of ones, else None."""
+    """(k,) if P is a k x 1 column of ones, else None."""
     if P.cols == 1 and count_ones(P) == P.rows:
-        return P.rows
+        return (P.rows,)
     return None
 
 
 def as_row_ones(P: BitMatrix):
-    """w if P is a 1 x w row of ones, else None."""
+    """(w,) if P is a 1 x w row of ones, else None."""
     if P.rows == 1 and count_ones(P) == P.cols:
-        return P.cols
+        return (P.cols,)
     return None
 
 
@@ -271,30 +211,23 @@ def as_all_ones(P: BitMatrix):
 
 
 def as_identity(P: BitMatrix):
-    """k if P is square with ones exactly on the diagonal, else None."""
-    if P.rows != P.cols:
-        return None
+    """(k,) if P is square with ones exactly on the diagonal, else None."""
     k = P.rows
-    if count_ones(P) != k:
-        return None
-    if all(P.get(i, i) == 1 for i in range(1, k + 1)):
-        return k
+    if P.cols == k and count_ones(P) == k and P.cells[:: k + 1].count(1) == k:
+        return (k,)
     return None
 
 
 def as_tuple_identity(P: BitMatrix):
     """(j, k) if column i of P carries ones exactly in rows (i-1)j+1 .. ij, else None."""
     k = P.cols
-    if P.rows % k != 0:
+    if P.rows % k != 0 or count_ones(P) != P.rows:
         return None
     j = P.rows // k
-    if count_ones(P) != P.rows:
-        return None
-    for i in range(1, k + 1):
-        for r in range((i - 1) * j + 1, i * j + 1):
-            if P.get(r, i) != 1:
-                return None
-    return (j, k)
+    # the 0-based row r of the pattern carries its one in column r // j
+    if all(P.cells[r * k + r // j] for r in range(P.rows)):
+        return (j, k)
+    return None
 
 
 def as_lshape(P: BitMatrix):
@@ -302,18 +235,22 @@ def as_lshape(P: BitMatrix):
     h, w = P.rows, P.cols
     if count_ones(P) != h + w - 1:
         return None
-    if all(P.get(r, 1) == 1 for r in range(1, h + 1)) and all(
-        P.get(h, c) == 1 for c in range(1, w + 1)
-    ):
+    if P.cells[::w].count(1) == h and P.row(h).count(1) == w:
         return (h, w)
     return None
 
 
 def as_cross(P: BitMatrix):
-    """(a, b, c, d) if P has ones exactly in one full row c and one full column d."""
+    """(a, b, c, d) if P has ones exactly in one full row c and one full column d.
+
+    A single full row or column is a cross with its center anywhere along it;
+    it is reported with center (1, 1).
+    """
     a, b = P.rows, P.cols
     if count_ones(P) != a + b - 1:
         return None
+    if a == 1 or b == 1:
+        return (a, b, 1, 1)
     full_rows = [r for r in range(1, a + 1) if sum(P.row(r)) == b]
     full_cols = [c for c in range(1, b + 1) if sum(P.column(c)) == a]
     if len(full_rows) == 1 and len(full_cols) == 1:
@@ -321,29 +258,24 @@ def as_cross(P: BitMatrix):
     return None
 
 
+# Canonical priority: the first matcher that accepts P names its class.
+PATTERN_SHAPES = (
+    (ColumnOnes, as_column_ones),
+    (RowOnes, as_row_ones),
+    (AllOnes, as_all_ones),
+    (Identity, as_identity),
+    (TupleIdentity, as_tuple_identity),
+    (LShape, as_lshape),
+    (Cross, as_cross),
+)
+
+
 def classify_pattern(P: BitMatrix) -> PatternClass:
     """Most specific shape class of P under the canonical priority order."""
-    k = as_column_ones(P)
-    if k is not None:
-        return ColumnOnes(k)
-    w = as_row_ones(P)
-    if w is not None:
-        return RowOnes(w)
-    kl = as_all_ones(P)
-    if kl is not None:
-        return AllOnes(*kl)
-    k = as_identity(P)
-    if k is not None:
-        return Identity(k)
-    jk = as_tuple_identity(P)
-    if jk is not None:
-        return TupleIdentity(*jk)
-    hw = as_lshape(P)
-    if hw is not None:
-        return LShape(*hw)
-    abcd = as_cross(P)
-    if abcd is not None:
-        return Cross(*abcd)
+    for shape, match in PATTERN_SHAPES:
+        fields = match(P)
+        if fields is not None:
+            return shape(*fields)
     return General()
 
 
@@ -353,7 +285,10 @@ def classify_pattern(P: BitMatrix) -> PatternClass:
 # blank lines are skipped; all rows must have equal length.
 #
 # Sparse: a header line "sparse R C" followed by one "r c" line per 1-entry
-# (1-based, whitespace separated); duplicate coordinates are an error.
+# (1-based, whitespace separated); duplicate coordinates are an error. The
+# parser builds the dense cells, so R*C is capped at SPARSE_MAX_CELLS.
+
+SPARSE_MAX_CELLS = 1 << 26
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -393,6 +328,10 @@ def _parse_sparse(content) -> BitMatrix:
         raise MatrixFormatError(f"bad sparse dimensions: {exc}") from None
     if rows < 1 or cols < 1:
         raise MatrixFormatError("sparse dimensions must be positive")
+    if rows * cols > SPARSE_MAX_CELLS:
+        raise MatrixFormatError(
+            f"sparse dimensions {rows}x{cols} exceed the cap of {SPARSE_MAX_CELLS} cells"
+        )
     seen = set()
     cells = bytearray(rows * cols)
     for ln in content[1:]:
@@ -420,5 +359,6 @@ def serialize(M: BitMatrix) -> str:
 def serialize_sparse(M: BitMatrix) -> str:
     """Sparse text form; parse_matrix(serialize_sparse(M)) == M."""
     out = [f"sparse {M.rows} {M.cols}"]
-    out.extend(f"{r} {c}" for r, c in to_sparse(M).entries)
+    for r in range(1, M.rows + 1):
+        out.extend(f"{r} {c}" for c, v in enumerate(M.row(r), 1) if v)
     return "\n".join(out) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .matrix import BitMatrix, SparseEntries, transpose, transpose_sparse
+from .matrix import BitMatrix, transpose
 
 
 def _pattern_column_rows(P: BitMatrix):
@@ -122,61 +122,6 @@ def contains_naive(A: BitMatrix, P: BitMatrix) -> bool:
             for i in rows_needed:
                 m |= 1 << sel[i]
             needs.append(m)
-        if _greedy_columns(colmasks, needs):
-            return True
-    return False
-
-
-def contains_naive_sparse(E: SparseEntries, P: BitMatrix) -> bool:
-    """Containment decided from the 1-entries alone; equals contains_naive.
-
-    Rows of P without any one never constrain cell values, but they still
-    consume a distinct row of the source matrix. Row selections are therefore
-    drawn from the rows that carry ones and checked against spacing:
-    consecutive selected rows must be at least as far apart as the pattern
-    rows they stand for, with enough slack before the first and after the
-    last. Columns are matched by the same greedy scan as the dense oracle.
-    """
-    if P.rows > E.source_rows or P.cols > E.source_cols:
-        return False
-    if P.rows > P.cols:
-        return contains_naive_sparse(transpose_sparse(E), transpose(P))
-
-    active = [i for i in range(1, P.rows + 1) if any(P.get(i, c) for c in range(1, P.cols + 1))]
-    if not active:
-        return True  # all-zero pattern: dimensions already fit
-
-    rows_of_ones = sorted({r for r, _ in E.entries})
-    colmasks = [0] * E.source_cols
-    for r, c in E.entries:
-        colmasks[c - 1] |= 1 << (r - 1)
-
-    # Per pattern column, the positions (indices into `active`) that must be ones.
-    pos_of = {i: t for t, i in enumerate(active)}
-    pat_cols = [
-        tuple(pos_of[i] for i in active if P.get(i, c)) for c in range(1, P.cols + 1)
-    ]
-
-    m = len(active)
-    tail_slack = P.rows - active[-1]
-    for sel in combinations(rows_of_ones, m):
-        if sel[0] < active[0]:
-            continue
-        if E.source_rows - sel[-1] < tail_slack:
-            continue
-        spaced = True
-        for t in range(1, m):
-            if sel[t] - sel[t - 1] < active[t] - active[t - 1]:
-                spaced = False
-                break
-        if not spaced:
-            continue
-        needs = []
-        for positions in pat_cols:
-            mask = 0
-            for t in positions:
-                mask |= 1 << (sel[t] - 1)
-            needs.append(mask)
         if _greedy_columns(colmasks, needs):
             return True
     return False

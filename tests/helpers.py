@@ -5,6 +5,9 @@ checks each pattern cell directly. It shares no code path with the library's
 oracle (which enumerates rows only and matches columns greedily), so the two
 can validate each other.
 
+``identity_dp`` is the identity dynamic program with its full suffix table
+kept, the reference for the rolling two-column form in ``fast._tuple_scan``.
+
 ``ex_reference`` is the extremal search in its plain recursive form, deciding
 every node with a full ``contains_naive`` call; the library's incremental,
 explicit-stack ``ex_exact`` must reproduce it node for node.
@@ -52,6 +55,28 @@ def all_patterns_up_to(max_rows: int, max_cols: int, require_ones: bool = False)
                 if require_ones and sum(P.cells) == 0:
                     continue
                 yield P
+
+
+def identity_dp(A: BitMatrix, j: int = 1):
+    """Completed suffix table of the j-tuple identity dynamic program.
+
+    ``table[r][c]`` (1-based, sentinel zeros at r = rows+1 and c = cols+1) is
+    the widest j-tuple identity contained in the submatrix on rows r.. and
+    columns c..; row/column 0 are unused padding. table[1][1] is the maximum.
+    """
+    R, C = A.rows, A.cols
+    D = [[0] * (C + 2) for _ in range(R + 2)]
+    for c in range(C, 0, -1):
+        col = A.column(c)
+        one_rows = []
+        for r in range(R, 0, -1):
+            v = max(D[r + 1][c], D[r][c + 1])
+            if col[r - 1]:
+                one_rows.append(r)
+                if len(one_rows) >= j:
+                    v = max(v, 1 + D[one_rows[-j] + 1][c + 1])
+            D[r][c] = v
+    return tuple(tuple(row) for row in D)
 
 
 def ex_reference(n: int, P: BitMatrix) -> ExtremalRecord:

@@ -25,7 +25,6 @@ from patcon import (
     ex_table,
     gen_random,
     identity,
-    identity_dp,
     lshape,
     ones_prefilter,
     parse_matrix,
@@ -38,7 +37,7 @@ from patcon import (
 from patcon.fast import PrefilterResult
 from patcon.cli import main as cli_main
 
-from helpers import random_matrix
+from helpers import identity_dp, random_matrix
 
 
 def criterion_pattern_set():
@@ -214,7 +213,7 @@ def test_criterion_6_invariant_suite():
     for i in range(cases):
         n = rng.randint(1, 6)
         A = random_matrix(rng, n, n, 0.5)
-        D = identity_dp(A, rng.choice([1, 1, 2])).table
+        D = identity_dp(A, rng.choice([1, 1, 2]))
         for r in range(1, n + 1):
             for c in range(1, n + 1):
                 if D[r][c] < D[r + 1][c] or D[r][c] < D[r][c + 1]:

@@ -3,6 +3,7 @@
 import pytest
 
 from patcon import (
+    BitMatrix,
     all_ones,
     cross,
     ex_exact,
@@ -124,6 +125,15 @@ class TestCheck:
         assert "different pattern" in captured.err
         assert main(["check", "--matrix", a, "--pattern", p_j2]) == 1
 
+    def test_huge_sparse_header_exit_two(self, tmp_path, files, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("sparse 100000000 100000000\n1 1\n")
+        p = files("p.txt", all_ones(1, 1))
+        assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("patcon: error: sparse dimensions")
+
     def test_missing_bounds_file_is_silently_ignored(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", all_ones(1, 1))
@@ -131,6 +141,56 @@ class TestCheck:
                      "--bounds", "/nonexistent-cache.txt"])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+FORCED_LABELS = ("naive", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
+
+# (pattern, classify line, auto-mode check label, --algo labels that run).
+# The canonical pattern of each family, then the overlaps that the priority
+# order (classify, auto) and the structural matching (--algo) decide.
+FAMILY_OVERLAPS = [
+    (all_ones(3, 1), "column-ones k=3", "column",
+     {"naive", "column", "tuple-identity", "lshape", "cross", "allones"}),
+    (all_ones(1, 3), "row-ones w=3", "column", {"naive", "column", "lshape", "cross", "allones"}),
+    (all_ones(2, 2), "all-ones k=2 l=2", "allones", {"naive", "allones"}),
+    (all_ones(2, 3), "all-ones k=2 l=3", "allones", {"naive", "allones"}),
+    (identity(3), "identity k=3", "identity", {"naive", "identity", "tuple-identity"}),
+    (tuple_identity(2, 2), "tuple-identity j=2 k=2", "tuple-identity", {"naive", "tuple-identity"}),
+    (lshape(3, 3), "lshape h=3 w=3", "lshape", {"naive", "lshape", "cross"}),
+    (cross(3, 3, 2, 2), "cross a=3 b=3 c=2 d=2", "cross", {"naive", "cross"}),
+    (BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]]), "general", "naive", {"naive"}),
+    (all_ones(1, 1), "column-ones k=1", "column", set(FORCED_LABELS)),
+    (identity(1), "column-ones k=1", "column", set(FORCED_LABELS)),
+    (all_ones(1, 4), "row-ones w=4", "column", {"naive", "column", "lshape", "cross", "allones"}),
+    (all_ones(2, 1), "column-ones k=2", "column",
+     {"naive", "column", "tuple-identity", "lshape", "cross", "allones"}),
+    (lshape(1, 3), "row-ones w=3", "column", {"naive", "column", "lshape", "cross", "allones"}),
+    (lshape(3, 1), "column-ones k=3", "column",
+     {"naive", "column", "tuple-identity", "lshape", "cross", "allones"}),
+    (tuple_identity(1, 3), "identity k=3", "identity", {"naive", "identity", "tuple-identity"}),
+    (tuple_identity(2, 1), "column-ones k=2", "column",
+     {"naive", "column", "tuple-identity", "lshape", "cross", "allones"}),
+    (cross(1, 3, 1, 2), "row-ones w=3", "column",
+     {"naive", "column", "lshape", "cross", "allones"}),
+]
+
+
+@pytest.mark.parametrize("P, line, label, runs", FAMILY_OVERLAPS)
+def test_family_overlaps_pinned(files, capsys, P, line, label, runs):
+    p = files("p.txt", P)
+    a = files("a.txt", all_ones(4, 4))
+    assert main(["classify", "--pattern", p]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert main(["check", "--matrix", a, "--pattern", p]) == 0
+    assert capsys.readouterr().out == f"CONTAINS {label}\n"
+    for algo in FORCED_LABELS:
+        code = main(["check", "--matrix", a, "--pattern", p, "--algo", algo])
+        captured = capsys.readouterr()
+        if algo in runs:
+            assert (code, captured.out) == (0, f"CONTAINS {algo}\n")
+        else:
+            assert (code, captured.out) == (2, ""), algo
+            assert "does not fit" in captured.err
 
 
 class TestClassify:
@@ -196,6 +256,14 @@ class TestExtremal:
         assert captured.err == (
             f"ex(3,P): {nodes} search nodes, {nodes / 10:.2f}% of the node budget\n"
         )
+
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_nonpositive_n_max_exit_two(self, files, capsys, n_max):
+        p = files("p.txt", all_ones(2, 2))
+        assert main(["extremal", "--pattern", p, "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "patcon: error: n-max must be positive\n"
 
     def test_budget_exhaustion_exit_three(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))

@@ -1,8 +1,11 @@
 """Specialized scans against the oracle, DP table invariants, and reductions."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patcon import (
     BitMatrix,
@@ -17,11 +20,9 @@ from patcon import (
     contains_tuple_identity,
     count_ones,
     cross,
-    cross_counts,
     dispatch,
     ex_exact,
     identity,
-    identity_dp,
     lshape,
     max_allones_rows,
     max_column_ones,
@@ -29,13 +30,15 @@ from patcon import (
     max_lshape_height,
     max_tuple_identity_width,
     ones_prefilter,
-    to_sparse,
     transpose,
     tuple_identity,
     zeros,
 )
 
-from helpers import all_matrices, contains_textbook, random_matrix
+from patcon.fast import LABELS, match_label
+
+from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
+from test_matrix import bit_matrices
 
 
 class TestColumnOnes:
@@ -71,8 +74,7 @@ class TestIdentityDP:
         for _ in range(100):
             n = rng.randint(1, 6)
             A = random_matrix(rng, n, n, 0.5)
-            dp = identity_dp(A)
-            D = dp.table
+            D = identity_dp(A)
             assert all(D[n + 1][c] == 0 for c in range(1, n + 2))
             assert all(D[r][n + 1] == 0 for r in range(1, n + 2))
             for r in range(1, n + 1):
@@ -85,7 +87,7 @@ class TestIdentityDP:
         for _ in range(40):
             n = rng.randint(1, 4)
             A = random_matrix(rng, n, n, 0.5)
-            D = identity_dp(A).table
+            D = identity_dp(A)
             for r in range(1, n + 1):
                 for c in range(1, n + 1):
                     sub = BitMatrix(
@@ -107,7 +109,7 @@ class TestIdentityDP:
         rng = random.Random(37)
         for _ in range(100):
             A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
-            assert identity_dp(A).table[1][1] == max_identity(A)
+            assert identity_dp(A)[1][1] == max_identity(A)
 
 
 class TestIdentity:
@@ -230,38 +232,6 @@ class TestLShape:
                     assert contains_lshape(A, h, w) == (m >= h)
 
 
-class TestCrossCounts:
-    def test_all_ones_center(self):
-        E = to_sparse(all_ones(3, 3))
-        cc = cross_counts(E)
-        i = E.entries.index((2, 2))
-        assert (cc.left[i], cc.right[i], cc.up[i], cc.down[i]) == (1, 1, 1, 1)
-
-    def test_identity_all_zero_counts(self):
-        E = to_sparse(identity(4))
-        cc = cross_counts(E)
-        assert set(cc.left) == {0}
-        assert set(cc.right) == {0}
-        assert set(cc.up) == {0}
-        assert set(cc.down) == {0}
-
-    def test_brute_force_recount(self):
-        rng = random.Random(61)
-        for _ in range(100):
-            A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.5)
-            E = to_sparse(A)
-            cc = cross_counts(E)
-            for i, (r, c) in enumerate(E.entries):
-                row = A.row(r)
-                col = A.column(c)
-                assert cc.left[i] == sum(row[: c - 1])
-                assert cc.right[i] == sum(row[c:])
-                assert cc.up[i] == sum(col[: r - 1])
-                assert cc.down[i] == sum(col[r:])
-                assert cc.left[i] + cc.right[i] + 1 == sum(row)
-                assert cc.up[i] + cc.down[i] + 1 == sum(col)
-
-
 class TestCross:
     def test_plus_sign(self):
         plus = cross(3, 3, 2, 2)
@@ -381,6 +351,44 @@ class TestDispatch:
             A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.5)
             P = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
             assert dispatch(A, P) == dispatch(transpose(A), transpose(P))
+
+
+# Every pattern up to 3x3 that some scan label fits structurally.
+FAMILY_PATTERNS = [
+    P for P in all_patterns_up_to(3, 3) if any(match_label(label, P) for label in LABELS)
+]
+
+
+@lru_cache(maxsize=None)
+def _exact_bound(n, P):
+    return ex_exact(n, P).value
+
+
+class TestEveryRoute:
+    """Differential test of every dispatch route against the oracle."""
+
+    @given(bit_matrices(max_rows=7, max_cols=7), st.sampled_from(FAMILY_PATTERNS))
+    @settings(max_examples=400, deadline=None)
+    def test_dispatch_and_every_label(self, A, P):
+        want = contains_naive(A, P)
+        assert dispatch(A, P) == want
+        for label in LABELS:
+            fit = match_label(label, P)
+            if fit is not None:
+                family, fields = fit
+                assert family.contains(A, *fields) == want, label
+                assert family.scan(A, *fields) == want, label
+
+    @given(st.integers(1, 4).flatmap(lambda n: bit_matrices(n, n, min_rows=n, min_cols=n)),
+           st.sampled_from(FAMILY_PATTERNS))
+    @settings(max_examples=400, deadline=None)
+    def test_dispatch_with_exact_bounds(self, A, P):
+        bounds = {(A.rows, P): _exact_bound(A.rows, P)}
+        assert dispatch(A, P, bounds) == contains_naive(A, P)
+
+    def test_family_patterns_cover_every_label(self):
+        fitted = {label for P in FAMILY_PATTERNS for label in LABELS if match_label(label, P)}
+        assert fitted == set(LABELS)
 
 
 class TestReductions:

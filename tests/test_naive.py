@@ -11,10 +11,8 @@ from patcon import (
     BitMatrix,
     all_ones,
     contains_naive,
-    contains_naive_sparse,
     count_ones,
     identity,
-    to_sparse,
     transpose,
     zeros,
 )
@@ -76,6 +74,16 @@ class TestKnownCases:
     def test_all_zero_pattern_needs_only_dimensions(self):
         assert contains_naive(zeros(2, 2), zeros(2, 2))
         assert not contains_naive(zeros(2, 2), zeros(3, 2))
+
+    def test_zero_pattern_rows_consume_rows(self):
+        # ones in rows 1 and 3 with a forced gap: needs three distinct rows
+        P = BitMatrix.from_rows([[1], [0], [1]])
+        tall = all_ones(3, 1)
+        short = all_ones(2, 1)
+        gap = BitMatrix.from_rows([[1], [1], [0]])
+        assert contains_naive(tall, P)
+        assert not contains_naive(short, P)
+        assert not contains_naive(gap, P)
 
 
 class TestProperties:
@@ -159,38 +167,3 @@ class TestCopiesThrough:
     def test_all_zero_pattern_rejected(self):
         with pytest.raises(ValueError):
             copies_through(zeros(2, 2), 3)
-
-
-class TestSparseOracle:
-    def test_empty_entries(self):
-        E = to_sparse(zeros(3, 3))
-        assert not contains_naive_sparse(E, all_ones(1, 1))
-
-    def test_identity_contains_itself(self):
-        assert contains_naive_sparse(to_sparse(identity(2)), identity(2))
-
-    def test_matches_dense_on_random_8x8(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            A = random_matrix(rng, 8, 8, rng.choice([0.1, 0.3, 0.6]))
-            E = to_sparse(A)
-            for P in all_patterns_up_to(2, 2):
-                assert contains_naive_sparse(E, P) == contains_naive(A, P)
-
-    def test_zero_pattern_rows_consume_rows(self):
-        # ones in rows 1 and 3 with a forced gap: needs three distinct rows
-        P = BitMatrix.from_rows([[1], [0], [1]])
-        tall = all_ones(3, 1)
-        short = all_ones(2, 1)
-        gap = BitMatrix.from_rows([[1], [1], [0]])
-        assert contains_naive_sparse(to_sparse(tall), P)
-        assert not contains_naive_sparse(to_sparse(short), P)
-        assert not contains_naive_sparse(to_sparse(gap), P)
-        assert contains_naive(gap, P) == contains_naive_sparse(to_sparse(gap), P)
-
-    def test_matches_dense_on_patterns_with_zero_rows(self):
-        rng = random.Random(19)
-        for _ in range(150):
-            A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.4)
-            P = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3), 0.3)
-            assert contains_naive_sparse(to_sparse(A), P) == contains_naive(A, P)

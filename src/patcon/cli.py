@@ -53,6 +53,9 @@ def cmd_check(args) -> int:
         bounds = None
         if args.bounds and os.path.exists(args.bounds):
             bounds = bounds_from_cache(args.bounds, P)
+        elif args.bounds:
+            print(f"patcon: warning: bounds file {args.bounds} not found; prefilter off",
+                  file=sys.stderr)
         result = dispatch(A, P, bounds)
         label = route_label(classify_pattern(P))
     else:
@@ -72,6 +75,8 @@ def cmd_extremal(args) -> int:
     P = _read_matrix(args.pattern)
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("n-max must be positive")
+    if args.node_budget < 1:
+        raise ValueError("node-budget must be positive")
     ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
     records = []
     status = 0

@@ -1,38 +1,46 @@
-"""Specialized containment scans and the pattern-dispatching front door.
+"""Containment kernels, the paper's scans, and the pattern-dispatching front door.
 
-One scan per recognized pattern family:
+Each recognized pattern family has two deciders. The ``contains_*``
+functions are word-level kernels on rows or columns of A packed into Python
+ints (``matrix.row_masks``/``column_masks``, packed as they are read, so an
+early exit reads only the rows it needs):
 
-* column of ones        -- per-column counting
-* identity              -- suffix dynamic program over a (rows+1) x (cols+1) table
-* tuple identity        -- the same program with per-column one-index buffers
-* L-shape               -- per-column counters driven bottom-to-top
-* cross                 -- left/right/up/down tallies around every 1-entry
-* all-ones rectangle    -- counters over t-subsets of one axis, t = min(k, l)
+* column of ones        -- ``bytes.count`` per column
+* identity              -- patience sorting over row masks: the lowest column
+                           ending a chain of each length
+* tuple identity        -- the same over column masks, j rows per step
+* L-shape and cross     -- bit-sliced "at least i ones above/below" masks,
+                           ANDed with each row's ones that have enough ones
+                           to their left and right
+* all-ones rectangle    -- a depth-min(k, l) search over ANDs of row or
+                           column masks, kept while they have enough bits
 
-Each ``contains_*`` operation has a ``max_*`` sibling that runs the identical
-scan to completion and reports the extremal statistic (largest identity size,
-tallest L-shape, ...). The contains form may stop as soon as its threshold is
-reached; stopping early never changes the verdict because every tracked
-quantity only grows during the scan. The max form never stops early, which
-makes it the right subject for worst-case timing.
+The ``max_*`` functions are the paper's scans, run to completion: a suffix
+dynamic program for (tuple) identity, per-column counters for L-shapes and
+columns, counters over t-subsets of one axis for all-ones rectangles, plus
+``_cross_tally_scan``, the cross scan, which has no max form. They report
+the extremal statistic (largest identity size, tallest L-shape, ...) and are
+what ``bench`` and the complexity gate time, because the paper's worst-case
+claims are about them; the kernels decide what ``dispatch`` and ``check``
+print, under the same labels.
 
 ``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
-``matrix.py`` to its route label, its ``contains_*`` call, its full-scan
-``max_*`` verdict and its dense avoider; ``dispatch``, the CLI's ``--algo``
+``matrix.py`` to its route label, its ``contains_*`` kernel, the verdict of
+its paper scan and its dense avoider; ``dispatch``, the CLI's ``--algo``
 selectors and ``bench``'s timed runners and avoiders are all read from it,
-so a new family is one new entry. The entries look the scans up as module
-globals at call time.
+so a new family is one new entry. The entries look the kernels and scans up
+as module globals at call time.
 
 ``dispatch`` classifies the pattern, optionally applies the ones-count
 prefilter when the caller supplies a trusted extremal bound, routes to the
-matching scan, and falls back to the brute-force oracle for general patterns.
+matching kernel, and falls back to the brute-force oracle for general patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable
 
 from .matrix import (
@@ -47,7 +55,9 @@ from .matrix import (
     RowOnes,
     TupleIdentity,
     classify_pattern,
+    column_masks,
     count_ones,
+    row_masks,
     transpose,
 )
 from .naive import contains_naive
@@ -67,20 +77,14 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
         raise ValueError("k must be positive")
     if k > A.rows:
         return False
-    for c in range(1, A.cols + 1):
-        if sum(A.column(c)) >= k:
-            return True
-    return False
+    return any(A.column(c).count(1) >= k for c in range(1, A.cols + 1))
 
 
 # --- identity and tuple identity ----------------------------------------------
 
 
-def _tuple_scan(A: BitMatrix, j: int, stop_at) -> int:
-    """Rolling two-column form of the suffix program; returns the maximum width.
-
-    With stop_at set, returns as soon as any cell reaches that width.
-    """
+def _tuple_scan(A: BitMatrix, j: int) -> int:
+    """Rolling two-column form of the suffix program; returns the maximum width."""
     R, C = A.rows, A.cols
     nxt = [0] * (R + 2)
     cur = [0] * (R + 2)
@@ -99,55 +103,82 @@ def _tuple_scan(A: BitMatrix, j: int, stop_at) -> int:
                     if t > v:
                         v = t
             cur[r] = v
-            if stop_at is not None and v >= stop_at:
-                return v
         nxt, cur = cur, nxt
     return nxt[1]
 
 
+def _block_chain(masks, j: int, k: int) -> bool:
+    """True iff k of the masks, in order, each give j set bits, every block above the last.
+
+    Patience sorting over the masks: ``ends[t]`` is the lowest single bit at
+    which a chain of t+1 blocks can end among the masks read so far. A mask
+    extends the chain of each length with its j lowest bits above that
+    chain's end; longer chains go first, so an extension reads only ends
+    that earlier masks set. Each mask costs O(j k) operations on its int.
+    """
+    ends = []
+    for m in masks:
+        for t in range(min(len(ends), k - 1), -1, -1):
+            free = m & -(ends[t - 1] << 1) if t else m
+            for _ in range(j - 1):
+                free &= free - 1
+            end = free & -free
+            if not end:
+                continue
+            if t == len(ends):
+                if t + 1 == k:
+                    return True
+                ends.append(end)
+            elif end < ends[t]:
+                ends[t] = end
+    return False
+
+
 def max_identity(A: BitMatrix) -> int:
     """Largest k such that A contains the k x k identity (0 for all-zero A)."""
-    return _tuple_scan(A, 1, None)
+    return _tuple_scan(A, 1)
 
 
 def contains_identity(A: BitMatrix, k: int) -> bool:
-    """True iff A contains the k x k identity."""
+    """True iff A contains the k x k identity: a chain of ones down and to the right."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > A.rows or k > A.cols:
         return False
-    return _tuple_scan(A, 1, k) >= k
+    return _block_chain(row_masks(A), 1, k)
 
 
 def max_tuple_identity_width(A: BitMatrix, j: int) -> int:
     """Largest k such that A contains the jk x k tuple identity."""
     if j < 1:
         raise ValueError("j must be positive")
-    return _tuple_scan(A, j, None)
+    return _tuple_scan(A, j)
 
 
 def contains_tuple_identity(A: BitMatrix, j: int, k: int) -> bool:
-    """True iff A contains the jk x k tuple identity."""
+    """True iff A contains the jk x k tuple identity: k columns of j ones, block under block."""
     if j < 1 or k < 1:
         raise ValueError("j and k must be positive")
     if j * k > A.rows or k > A.cols:
         return False
-    return _tuple_scan(A, j, k) >= k
+    return _block_chain(column_masks(A), j, k)
 
 
-# --- L-shape ------------------------------------------------------------------
+# --- L-shape and cross ----------------------------------------------------------
 
 
-def lshape_counter_rows(A: BitMatrix, w: int):
-    """Drive the per-column counters bottom-to-top, yielding them after each row.
+def max_lshape_height(A: BitMatrix, w: int) -> int:
+    """Largest h such that A contains the h x w L-shape (0 if none).
 
-    A counter at column x equals the tallest partial L of width w whose
-    vertical arm sits in column x: it starts (unconditional increment) only on
-    a row with w ones from x rightward, and grows (conditional increment) on
-    any later one in column x.
+    Per-column counters driven bottom-to-top: the counter of column x is the
+    tallest partial L of width w whose vertical arm sits in column x. It
+    starts (unconditional increment) only on a row with w ones from x
+    rightward, and grows (conditional increment) on any later one in column x.
     """
     if w < 1:
         raise ValueError("w must be positive")
+    if w > A.cols:
+        return 0
     counters = [0] * A.cols
     for r in range(A.rows, 0, -1):
         rowb = A.row(r)
@@ -163,17 +194,46 @@ def lshape_counter_rows(A: BitMatrix, w: int):
             for x in xs:
                 if counters[x]:
                     counters[x] += 1
-        yield counters
-
-
-def max_lshape_height(A: BitMatrix, w: int) -> int:
-    """Largest h such that A contains the h x w L-shape (0 if none)."""
-    if w > A.cols:
-        return 0
-    counters = None
-    for counters in lshape_counter_rows(A, w):
-        pass
     return max(counters)
+
+
+def _with_ones_before(rows, count: int):
+    """Yield (row mask, columns with at least ``count`` ones in earlier rows) for each row.
+
+    Bit-sliced saturating counters: ``ge[i]`` is the mask of columns with at
+    least i ones so far.
+    """
+    ge = [-1] + [0] * count
+    for m in rows:
+        yield m, ge[count]
+        for i in range(count, 0, -1):
+            ge[i] |= ge[i - 1] & m
+
+
+def _arm_scan(A: BitMatrix, up: int, down: int, left: int, right: int) -> bool:
+    """True iff some 1 of A has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
+
+    Rows go top to bottom with the "``up`` ones above" masks; the "``down``
+    ones below" masks come from a bottom-to-top pass first, which only a
+    cross with ones below its center needs. A row's candidates are its ones
+    with ``left`` ones before and ``right`` after them: the row mask without
+    its lowest ``left`` and highest ``right`` bits.
+    """
+    rows = row_masks(A)
+    below = repeat(-1)
+    if down:
+        rows = list(rows)
+        below = [ge for _, ge in _with_ones_before(reversed(rows), down)][::-1]
+    for (m, above), floor in zip(_with_ones_before(rows, up), below):
+        if m.bit_count() > left + right:
+            x = m
+            for _ in range(left):
+                x &= x - 1
+            for _ in range(right):
+                x ^= 1 << (x.bit_length() - 1)
+            if x & above & floor:
+                return True
+    return False
 
 
 def contains_lshape(A: BitMatrix, h: int, w: int) -> bool:
@@ -182,13 +242,7 @@ def contains_lshape(A: BitMatrix, h: int, w: int) -> bool:
         raise ValueError("h and w must be positive")
     if h > A.rows or w > A.cols:
         return False
-    for counters in lshape_counter_rows(A, w):
-        if max(counters) >= h:
-            return True
-    return False
-
-
-# --- cross --------------------------------------------------------------------
+    return _arm_scan(A, h - 1, 0, 0, w - 1)
 
 
 def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
@@ -196,11 +250,22 @@ def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
 
     A 1-entry can act as the intersection cell exactly when its row holds
     d-1 ones to its left and b-d to its right, and its column c-1 above and
-    a-c below. The scan streams the ranks row-major with per-column counters
-    instead of materializing the coordinate list.
+    a-c below.
     """
     if not (1 <= c <= a and 1 <= d <= b):
         raise ValueError("cross center must satisfy 1 <= c <= a and 1 <= d <= b")
+    if a > A.rows or b > A.cols:
+        return False
+    return _arm_scan(A, c - 1, a - c, d - 1, b - d)
+
+
+def _cross_tally_scan(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
+    """The paper's cross scan: left/right/up/down tallies around every 1-entry, row-major.
+
+    Same verdict as ``contains_cross``; bench times it as the cross family's
+    full scan. The ranks are streamed with per-column counters instead of
+    materializing the coordinate list.
+    """
     row_totals = [0] * (A.rows + 1)
     for r in range(1, A.rows + 1):
         row_totals[r] = sum(A.row(r))
@@ -236,12 +301,11 @@ def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
 # --- all-ones rectangle ---------------------------------------------------------
 
 
-def _subset_counter_scan(A: BitMatrix, t: int, stop_at) -> int:
+def _subset_counter_scan(A: BitMatrix, t: int) -> int:
     """Scan rows, counting per t-subset of columns the rows covering that subset.
 
-    Returns the largest counter reached; with stop_at set, returns as soon as
-    any counter gets there. Counters are created lazily, so a row with q ones
-    costs C(q, t) increments.
+    Returns the largest counter reached. Counters are created lazily, so a
+    row with q ones costs C(q, t) increments.
     """
     counters: dict = {}
     best = 0
@@ -255,8 +319,6 @@ def _subset_counter_scan(A: BitMatrix, t: int, stop_at) -> int:
             counters[sub] = v
             if v > best:
                 best = v
-                if stop_at is not None and best >= stop_at:
-                    return best
     return best
 
 
@@ -266,23 +328,46 @@ def max_allones_rows(A: BitMatrix, t: int) -> int:
         raise ValueError("t must be positive")
     if t > A.cols:
         return 0
-    return _subset_counter_scan(A, t, None)
+    return _subset_counter_scan(A, t)
+
+
+def _shared_ones(masks, t: int, need: int) -> bool:
+    """True iff some t of the masks have at least ``need`` set bits in common.
+
+    Each mask read closes the t-sets it is the last of: a depth-first search
+    over the earlier masks that keeps an AND only while it still has
+    ``need`` bits.
+    """
+    kept = []
+
+    def extend(acc: int, depth: int, end: int) -> bool:
+        for i in range(end - 1, depth - 2, -1):
+            x = acc & kept[i]
+            if x.bit_count() >= need and (depth == 1 or extend(x, depth - 1, i)):
+                return True
+        return False
+
+    for m in masks:
+        if m.bit_count() >= need:
+            if t == 1 or extend(m, t - 1, len(kept)):
+                return True
+            kept.append(m)
+    return False
 
 
 def contains_allones(A: BitMatrix, k: int, l: int) -> bool:
     """True iff A contains the k x l all-ones rectangle.
 
-    The scan runs over the orientation whose subsets have size min(k, l):
-    row scan with l-subsets of columns when l <= k, otherwise the transposed
-    equivalent with k-subsets of rows.
+    The search picks min(k, l) lines: k rows whose masks share l columns
+    when k <= l, otherwise l columns whose masks share k rows.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
     if k > A.rows or l > A.cols:
         return False
-    if l <= k:
-        return _subset_counter_scan(A, l, k) >= k
-    return _subset_counter_scan(transpose(A), k, l) >= l
+    if k <= l:
+        return _shared_ones(row_masks(A), k, l)
+    return _shared_ones(column_masks(A), l, k)
 
 
 # --- prefilter and dispatch ------------------------------------------------------
@@ -336,9 +421,9 @@ class Family:
     """A pattern family; its callables take the class's fields after their first argument.
 
     ``label`` names the route in CLI output and in the ``--algo``/``--algos``
-    selectors; ``contains(A, ...)`` is the early-exit scan dispatch runs,
-    ``scan(A, ...)`` the same verdict from the full ``max_*`` scan bench
-    times, and ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern.
+    selectors; ``contains(A, ...)`` is the kernel dispatch runs, ``scan(A,
+    ...)`` the same verdict from the paper's full scan that bench times, and
+    ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern.
     """
 
     label: str
@@ -381,13 +466,13 @@ FAMILIES = {
     Cross: Family(
         "cross",
         contains=lambda A, a, b, c, d: contains_cross(A, a, b, c, d),
-        scan=lambda A, a, b, c, d: contains_cross(A, a, b, c, d),  # no max_* form
+        scan=lambda A, a, b, c, d: _cross_tally_scan(A, a, b, c, d),  # no max_* form
         avoider=lambda n, a, b, c, d: _full_rows(n, a - 1),
     ),
     AllOnes: Family(
         "allones",
         contains=lambda A, k, l: contains_allones(A, k, l),
-        # the orientation contains_allones picks: subsets of size min(k, l)
+        # subsets of size min(k, l)
         scan=lambda A, k, l: (
             max_allones_rows(A, l) >= k if l <= k else max_allones_rows(transpose(A), k) >= l
         ),

@@ -3,6 +3,8 @@
 Every layer of the package works on one representation: ``BitMatrix``, an
 immutable dense matrix stored row-major with 1-based ``get(r, c)`` access.
 The sparse text format is only a file format; it parses into a BitMatrix.
+Kernels that work on whole rows or columns read them as Python ints from
+``row_masks``/``column_masks``, packed one at a time as they are read.
 
 ``classify_pattern`` recognizes the pattern families that have specialized
 containment scans. Several families overlap (a single 1 is simultaneously a
@@ -129,6 +131,24 @@ def transpose(M: BitMatrix) -> BitMatrix:
 
 def count_ones(M: BitMatrix) -> int:
     return M.cells.count(1)
+
+
+_BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def bitmask(cells: bytes) -> int:
+    """Pack 0/1 bytes into an int whose bit i is ``cells[i]``."""
+    return int(cells.translate(_BITS_TO_DIGITS)[::-1], 2)
+
+
+def row_masks(M: BitMatrix):
+    """Rows of M top to bottom as bitmasks (bit c-1 = column c), packed as they are read."""
+    return (bitmask(M.row(r)) for r in range(1, M.rows + 1))
+
+
+def column_masks(M: BitMatrix):
+    """Columns of M left to right as bitmasks (bit r-1 = row r), packed as they are read."""
+    return (bitmask(M.column(c)) for c in range(1, M.cols + 1))
 
 
 # --- pattern classification -------------------------------------------------
@@ -289,6 +309,7 @@ def classify_pattern(P: BitMatrix) -> PatternClass:
 # parser builds the dense cells, so R*C is capped at SPARSE_MAX_CELLS.
 
 SPARSE_MAX_CELLS = 1 << 26
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -304,18 +325,21 @@ def parse_matrix(text: str) -> BitMatrix:
 
 def _parse_dense(content) -> BitMatrix:
     width = len(content[0])
-    cells = bytearray()
-    for ln in content:
-        if len(ln) != width:
-            raise MatrixFormatError(f"ragged rows: expected width {width}, got {len(ln)}")
-        for ch in ln:
-            if ch == "0":
-                cells.append(0)
-            elif ch == "1":
-                cells.append(1)
-            else:
-                raise MatrixFormatError(f"invalid character {ch!r} in dense row")
-    return BitMatrix(len(content), width, bytes(cells))
+    # Faults are reported row by row: a bad character in a row above the first ragged one wins.
+    ragged = next((i for i, ln in enumerate(content) if len(ln) != width), len(content))
+    text = "".join(content[:ragged])
+    digits = text.encode("ascii", "replace")  # a non-ASCII character becomes b"?", also invalid
+    if digits.translate(None, b"01"):
+        ch = next(ch for ch in text if ch not in "01")
+        raise MatrixFormatError(f"invalid character {ch!r} in dense row")
+    if ragged < len(content):
+        raise MatrixFormatError(
+            f"ragged rows: expected width {width}, got {len(content[ragged])}"
+        )
+    del text  # the joined rows, the ASCII digits and the cells would otherwise coexist
+    cells = digits.translate(_DIGITS_TO_BITS)
+    del digits
+    return BitMatrix(len(content), width, cells)
 
 
 def _parse_sparse(content) -> BitMatrix:

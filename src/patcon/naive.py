@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .matrix import BitMatrix, transpose
+from .matrix import BitMatrix, column_masks, transpose
 
 
 def _pattern_column_rows(P: BitMatrix):
@@ -29,14 +29,6 @@ def _pattern_column_rows(P: BitMatrix):
     return [
         tuple(i for i in range(P.rows) if P.get(i + 1, c + 1)) for c in range(P.cols)
     ]
-
-
-def _column_mask(col: bytes) -> int:
-    m = 0
-    for i, v in enumerate(col):
-        if v:
-            m |= 1 << i
-    return m
 
 
 def _greedy_columns(colmasks, needs) -> bool:
@@ -113,7 +105,7 @@ def contains_naive(A: BitMatrix, P: BitMatrix) -> bool:
         return False
     if P.rows > P.cols:
         return contains_naive(transpose(A), transpose(P))
-    colmasks = [_column_mask(A.column(c)) for c in range(1, A.cols + 1)]
+    colmasks = list(column_masks(A))
     pat_cols = _pattern_column_rows(P)
     for sel in combinations(range(A.rows), P.rows):
         needs = []

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from patcon import fast
+from patcon.bench import _runner_for
 from patcon import (
     BenchConfigError,
     UnsupportedPatternError,
@@ -191,3 +193,40 @@ class TestCsv:
         write_bench_csv(reports, path)
         summary = [ln for ln in path.read_text().splitlines() if ",summary," in ln]
         assert summary[0].endswith(",")
+
+
+class TestRunnerFor:
+    """bench times the paper's full scans, never the early-exit kernels."""
+
+    # label -> (fitting pattern, paper scan, kernel), names in patcon.fast
+    CASES = {
+        "column": (all_ones(2, 1), "max_column_ones", "contains_column_ones"),
+        "identity": (identity(3), "max_identity", "contains_identity"),
+        "tuple-identity": (tuple_identity(2, 2), "max_tuple_identity_width",
+                           "contains_tuple_identity"),
+        "lshape": (lshape(2, 2), "max_lshape_height", "contains_lshape"),
+        "cross": (cross(3, 3, 2, 2), "_cross_tally_scan", "contains_cross"),
+        "allones": (all_ones(2, 2), "max_allones_rows", "contains_allones"),
+    }
+
+    def test_cases_cover_every_label(self):
+        assert set(self.CASES) == set(fast.LABELS)
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_label_runs_the_paper_scan(self, label, monkeypatch):
+        P, scan, kernel = self.CASES[label]
+        real = getattr(fast, scan)
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        def unexpected(*args):
+            raise AssertionError(f"{kernel} ran under bench")
+
+        monkeypatch.setattr(fast, scan, recording)
+        monkeypatch.setattr(fast, kernel, unexpected)
+        A = gen_random(16, 0.5, 3)
+        assert _runner_for(label, P)(A) == contains_naive(A, P)
+        assert calls

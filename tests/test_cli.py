@@ -134,13 +134,17 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("patcon: error: sparse dimensions")
 
-    def test_missing_bounds_file_is_silently_ignored(self, files, capsys):
+    def test_missing_bounds_file_warns(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", all_ones(1, 1))
         code = main(["check", "--matrix", a, "--pattern", p,
                      "--bounds", "/nonexistent-cache.txt"])
         assert code == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.out == "CONTAINS column\n"
+        assert captured.err == (
+            "patcon: warning: bounds file /nonexistent-cache.txt not found; prefilter off\n"
+        )
 
 
 FORCED_LABELS = ("naive", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
@@ -264,6 +268,14 @@ class TestExtremal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "patcon: error: n-max must be positive\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_node_budget_exit_two(self, files, capsys, budget):
+        p = files("p.txt", all_ones(1, 1))
+        assert main(["extremal", "--pattern", p, "--n", "1", "--node-budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "patcon: error: node-budget must be positive\n"
 
     def test_budget_exhaustion_exit_three(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))

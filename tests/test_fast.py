@@ -35,7 +35,9 @@ from patcon import (
     zeros,
 )
 
-from patcon.fast import LABELS, match_label
+from patcon.bench import gen_avoider
+from patcon.fast import FAMILIES, LABELS, match_label
+from patcon.matrix import classify_pattern
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
 from test_matrix import bit_matrices
@@ -389,6 +391,59 @@ class TestEveryRoute:
     def test_family_patterns_cover_every_label(self):
         fitted = {label for P in FAMILY_PATTERNS for label in LABELS if match_label(label, P)}
         assert fitted == set(LABELS)
+
+
+# Kernel parameters beyond criterion 1's set, each with the pattern it decides.
+KERNEL_CASES = (
+    [(contains_column_ones, (k,), all_ones(k, 1)) for k in range(1, 6)]
+    + [(contains_identity, (k,), identity(k)) for k in range(1, 6)]
+    + [(contains_tuple_identity, (j, k), tuple_identity(j, k))
+       for j in range(1, 4) for k in range(1, 4)]
+    + [(contains_lshape, (h, w), lshape(h, w)) for h in range(1, 6) for w in range(1, 6)]
+    + [(contains_cross, (a, b, c, d), cross(a, b, c, d))
+       for a in range(1, 6) for b in range(1, 6)
+       for c in range(1, a + 1) for d in range(1, b + 1)]
+    + [(contains_allones, (k, l), all_ones(k, l))
+       for k in range(1, 5) for l in range(1, 5) if min(k, l) <= 3]
+)
+
+
+class TestKernels:
+    """The word-level contains_* kernels against the oracle, and against the paper's scans."""
+
+    @given(bit_matrices(max_rows=8, max_cols=8), st.sampled_from(KERNEL_CASES))
+    @settings(max_examples=3000, deadline=None)
+    def test_kernel_matches_oracle(self, A, case):
+        kernel, args, P = case
+        assert kernel(A, *args) == contains_naive(A, P), (kernel.__name__, args)
+
+    @staticmethod
+    def _planted(A, P, rng):
+        """A with the ones of P written at random increasing rows and columns."""
+        rows = sorted(rng.sample(range(A.rows), P.rows))
+        cols = sorted(rng.sample(range(A.cols), P.cols))
+        cells = bytearray(A.cells)
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                if P.get(i + 1, j + 1):
+                    cells[r * A.cols + c] = 1
+        return BitMatrix(A.rows, A.cols, bytes(cells))
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_contains_equals_scan_on_avoiders_and_planted(self, n):
+        rng = random.Random(n)
+        patterns = [all_ones(3, 1), all_ones(1, 3), identity(3), identity(5),
+                    tuple_identity(2, 2), tuple_identity(3, 2), lshape(3, 3), lshape(4, 2),
+                    cross(3, 3, 2, 2), cross(4, 5, 3, 2), all_ones(2, 2), all_ones(2, 3),
+                    all_ones(3, 2)]
+        for P in patterns:
+            shape = classify_pattern(P)
+            family = FAMILIES[type(shape)]
+            fields = shape.__dict__.values()
+            avoider = gen_avoider(n, P)
+            for A, want in ((avoider, False), (self._planted(avoider, P, rng), True)):
+                assert family.contains(A, *fields) is want, (str(shape), want)
+                assert family.scan(A, *fields) is want, (str(shape), want)
 
 
 class TestReductions:

@@ -29,6 +29,8 @@ from patcon import (
     zeros,
 )
 
+from patcon.matrix import column_masks, row_masks
+
 from helpers import all_matrices
 
 
@@ -102,6 +104,17 @@ class TestFactories:
             cross(3, 3, 4, 1)
 
 
+class TestMasks:
+    @given(bit_matrices())
+    def test_row_and_column_masks_hold_the_cells(self, M):
+        rows = list(row_masks(M))
+        cols = list(column_masks(M))
+        for r in range(1, M.rows + 1):
+            for c in range(1, M.cols + 1):
+                assert (rows[r - 1] >> (c - 1)) & 1 == M.get(r, c)
+                assert (cols[c - 1] >> (r - 1)) & 1 == M.get(r, c)
+
+
 class TestParsing:
     def test_dense_identity(self):
         assert parse_matrix("10\n01\n") == identity(2)
@@ -123,6 +136,18 @@ class TestParsing:
     def test_bad_character_rejected(self):
         with pytest.raises(MatrixFormatError):
             parse_matrix("10\n0x\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("10\n011\n", "ragged rows: expected width 2, got 3"),
+        ("10\n0x\n", "invalid character 'x' in dense row"),
+        ("10\n0\u00e9\n", "invalid character '\u00e9' in dense row"),
+        ("1x\n011\n", "invalid character 'x' in dense row"),  # the first faulty row decides
+        ("10\n011\n0x\n", "ragged rows: expected width 2, got 3"),
+    ], ids=["ragged", "bad-character", "non-ascii", "bad-above-ragged", "ragged-above-bad"])
+    def test_dense_fault_messages(self, text, message):
+        with pytest.raises(MatrixFormatError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message
 
     def test_empty_input_rejected(self):
         with pytest.raises(MatrixFormatError):

@@ -59,6 +59,8 @@ def cmd_check(args) -> int:
         result = dispatch(A, P, bounds)
         label = route_label(classify_pattern(P))
     else:
+        if args.bounds:
+            print(f"patcon: warning: --bounds is ignored with --algo {args.algo}", file=sys.stderr)
         result = _forced_runner(args.algo, P)(A)
         label = args.algo
     print(f"{'CONTAINS' if result else 'AVOIDS'} {label}")

@@ -5,13 +5,13 @@ functions are word-level kernels on rows or columns of A packed into Python
 ints (``matrix.row_masks``/``column_masks``, packed as they are read, so an
 early exit reads only the rows it needs):
 
-* column of ones        -- ``bytes.count`` per column
 * identity              -- patience sorting over row masks: the lowest column
                            ending a chain of each length
 * tuple identity        -- the same over column masks, j rows per step
 * L-shape and cross     -- bit-sliced "at least i ones above/below" masks,
                            ANDed with each row's ones that have enough ones
-                           to their left and right
+                           to their left and right; a column of ones is the
+                           k x 1 L-shape and a row of ones the 1 x w one
 * all-ones rectangle    -- a depth-min(k, l) search over ANDs of row or
                            column masks, kept while they have enough bits
 
@@ -72,12 +72,12 @@ def max_column_ones(A: BitMatrix) -> int:
 
 
 def contains_column_ones(A: BitMatrix, k: int) -> bool:
-    """True iff some column of A has at least k ones; stops at the first such column."""
+    """True iff some column of A has at least k ones: a 1 with k-1 ones above it."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > A.rows:
         return False
-    return any(A.column(c).count(1) >= k for c in range(1, A.cols + 1))
+    return _arm_scan(A, k - 1, 0, 0, 0)
 
 
 # --- identity and tuple identity ----------------------------------------------
@@ -301,12 +301,16 @@ def _cross_tally_scan(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
 # --- all-ones rectangle ---------------------------------------------------------
 
 
-def _subset_counter_scan(A: BitMatrix, t: int) -> int:
-    """Scan rows, counting per t-subset of columns the rows covering that subset.
+def max_allones_rows(A: BitMatrix, t: int) -> int:
+    """Largest number of rows of A sharing ones in some common t columns.
 
-    Returns the largest counter reached. Counters are created lazily, so a
-    row with q ones costs C(q, t) increments.
+    Scans rows, counting per t-subset of columns the rows covering it;
+    counters are created lazily, so a row with q ones costs C(q, t) increments.
     """
+    if t < 1:
+        raise ValueError("t must be positive")
+    if t > A.cols:
+        return 0
     counters: dict = {}
     best = 0
     for r in range(1, A.rows + 1):
@@ -320,15 +324,6 @@ def _subset_counter_scan(A: BitMatrix, t: int) -> int:
             if v > best:
                 best = v
     return best
-
-
-def max_allones_rows(A: BitMatrix, t: int) -> int:
-    """Largest number of rows of A sharing ones in some common t columns."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if t > A.cols:
-        return 0
-    return _subset_counter_scan(A, t)
 
 
 def _shared_ones(masks, t: int, need: int) -> bool:
@@ -441,7 +436,7 @@ FAMILIES = {
     ),
     RowOnes: Family(
         "column",
-        contains=lambda A, w: contains_column_ones(transpose(A), w),
+        contains=lambda A, w: contains_lshape(A, 1, w),
         scan=lambda A, w: max_column_ones(transpose(A)) >= w,
         avoider=lambda n, w: transpose(_full_rows(n, w - 1)),
     ),
@@ -495,7 +490,7 @@ def match_label(label: str, P: BitMatrix):
 
     The matching is structural, not by canonical priority: ``identity`` fits
     the 1x1 pattern although it classifies as a column of ones, and
-    ``column`` fits a row of ones through its transpose.
+    ``column`` fits a row of ones, whose family shares that label.
     """
     for shape, match in PATTERN_SHAPES:
         family = FAMILIES.get(shape)

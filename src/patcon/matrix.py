@@ -377,7 +377,9 @@ def _parse_sparse(content) -> BitMatrix:
 
 def serialize(M: BitMatrix) -> str:
     """Dense text form; parse_matrix(serialize(M)) == M."""
-    return "\n".join("".join(map(str, M.row(r))) for r in range(1, M.rows + 1)) + "\n"
+    # Row by row, so that no digit copy of all cells sits beside the rows and the result.
+    rows = (M.row(r).translate(_BITS_TO_DIGITS).decode("ascii") for r in range(1, M.rows + 1))
+    return "".join(row + "\n" for row in rows)
 
 
 def serialize_sparse(M: BitMatrix) -> str:

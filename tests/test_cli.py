@@ -146,6 +146,16 @@ class TestCheck:
             "patcon: warning: bounds file /nonexistent-cache.txt not found; prefilter off\n"
         )
 
+    def test_bounds_with_forced_algo_warns(self, files, capsys):
+        a = files("a.txt", identity(3))
+        p = files("p.txt", identity(2))
+        code = main(["check", "--matrix", a, "--pattern", p, "--algo", "identity",
+                     "--bounds", "/nonexistent-cache.txt"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == "CONTAINS identity\n"
+        assert captured.err == "patcon: warning: --bounds is ignored with --algo identity\n"
+
 
 FORCED_LABELS = ("naive", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
 

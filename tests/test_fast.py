@@ -35,9 +35,10 @@ from patcon import (
     zeros,
 )
 
+from patcon import fast
 from patcon.bench import gen_avoider
 from patcon.fast import FAMILIES, LABELS, match_label
-from patcon.matrix import classify_pattern
+from patcon.matrix import RowOnes, classify_pattern
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
 from test_matrix import bit_matrices
@@ -396,6 +397,7 @@ class TestEveryRoute:
 # Kernel parameters beyond criterion 1's set, each with the pattern it decides.
 KERNEL_CASES = (
     [(contains_column_ones, (k,), all_ones(k, 1)) for k in range(1, 6)]
+    + [(FAMILIES[RowOnes].contains, (w,), all_ones(1, w)) for w in range(1, 6)]
     + [(contains_identity, (k,), identity(k)) for k in range(1, 6)]
     + [(contains_tuple_identity, (j, k), tuple_identity(j, k))
        for j in range(1, 4) for k in range(1, 4)]
@@ -444,6 +446,24 @@ class TestKernels:
             for A, want in ((avoider, False), (self._planted(avoider, P, rng), True)):
                 assert family.contains(A, *fields) is want, (str(shape), want)
                 assert family.scan(A, *fields) is want, (str(shape), want)
+
+    def test_line_routes_read_only_row_masks(self, monkeypatch):
+        """Column and row of ones are decided without transpose or a strided column copy."""
+        rng = random.Random(17)
+        cases = []
+        for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5)):
+            avoider = gen_avoider(200, P)
+            cases += [(avoider, P, False), (self._planted(avoider, P, rng), P, True)]
+
+        def refuse(*args):
+            raise AssertionError("a line-of-ones route read a column or a transpose")
+
+        monkeypatch.setattr(fast, "transpose", refuse)
+        monkeypatch.setattr(BitMatrix, "column", refuse)
+        for A, P, want in cases:
+            shape = classify_pattern(P)
+            assert dispatch(A, P) is want, str(shape)
+            assert FAMILIES[type(shape)].contains(A, *shape.__dict__.values()) is want, str(shape)
 
 
 class TestReductions:

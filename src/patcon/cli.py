@@ -95,6 +95,9 @@ def cmd_extremal(args) -> int:
             f"{100 * rec.nodes / args.node_budget:.2f}% of the node budget",
             file=sys.stderr,
         )
+        print(f"ex({n},P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
+              f"{rec.cut_symmetry} by symmetry; strip table ex(m x {n},P), m < {n}: "
+              f"{' '.join(map(str, rec.strip)) or 'none'}", file=sys.stderr)
         records.append(rec)
     if args.witness_out:
         os.makedirs(args.witness_out, exist_ok=True)

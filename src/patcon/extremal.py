@@ -3,10 +3,23 @@
 ``ex_exact`` runs a depth-first branch and bound over the cells in row-major
 order, placing a 1 before a 0 at every cell. A branch dies as soon as the
 partial matrix (undecided cells read as 0) already contains the pattern --
-adding more ones can only keep it contained -- or when the ones placed plus
-the cells still undecided cannot beat the best avoider found so far. Trying
-1 first makes the reported witness deterministic: among all maximum avoiders
-it is the one preferring ones at the earliest row-major positions.
+adding more ones can only keep it contained -- or when an upper bound on its
+ones cannot beat the best avoider found so far. Trying 1 first makes the
+witness deterministic: the row-major lexicographically greatest maximum avoider.
+
+The bound comes from strips: ``ex_exact(n, P)`` first fills strip[m] =
+ex(m x n, P) for m < n by the same search on m rows (m*n when P does not
+fit). The rows below row r, and those from r on, are avoiding strips, so a
+node at (r, c) can reach at most min(ones + (n - c) + strip[rows-r-1], ones
+above row r + strip[rows-r]).
+When every cell of P is 1, permuting rows or columns does not change
+containment, and every matrix has a doubly lexical ordering (Lubiw 1987),
+so a 1 is placed only where row r stays <= row r-1 and column c stays <=
+column c-1 over the cells decided so far; a 0 never breaks that order.
+Neither rule changes the value or the witness: the bound cuts only subtrees
+that cannot strictly beat the best so far, and the witness is doubly sorted,
+as swapping an out-of-order pair of its rows or columns would give a
+lexicographically greater avoider with as many ones.
 
 Containment is decided incrementally. The search only extends avoiders, and
 a new 1 at (r, c) comes after every 1 already placed, so the extended matrix
@@ -23,7 +36,7 @@ The search depth is therefore not bounded by the interpreter's recursion
 limit.
 
 The search is exact but exponential; it is meant for desk-scale n. A node
-budget turns runaway searches into a distinct error instead of a wrong value.
+budget, shared with the strip searches, turns runaway searches into an error.
 """
 
 from __future__ import annotations
@@ -53,7 +66,8 @@ class ExtremalRecord:
     ``witness`` is an n x n matrix with exactly ``value`` ones that avoids
     ``pattern``; no n x n matrix with more ones avoids it. ``nodes`` is the
     number of search nodes ``ex_exact`` visited to prove it (0 when the
-    record did not come from a search).
+    record did not come from a search), the searches for ``strip``, ex(m x n,
+    P) for m < n, included; ``cut_*`` count the branches each rule cut.
     """
 
     n: int
@@ -61,6 +75,73 @@ class ExtremalRecord:
     value: int
     witness: BitMatrix
     nodes: int = 0
+    cut_contained: int = 0
+    cut_bound: int = 0
+    cut_symmetry: int = 0
+    strip: tuple = ()
+
+
+def _search(rows: int, n: int, P: BitMatrix, strip, nodes: int, node_budget: int) -> tuple:
+    """(value, cells, nodes, cuts) of the first maximum rows x n avoider of P in 1-before-0 order.
+
+    Needs strip[m] = ex(m x n, P) for m < rows; ``nodes`` counts on from those
+    spent before. ``cuts``: branches cut by containment, bound and symmetry.
+    """
+    total = rows * n
+    through = copies_through(P, rows)
+    sort = all(P.cells)  # J_{k x l}: search doubly sorted matrices only
+    cells = bytearray(total)
+    colmasks = [0] * n
+    above = [0] * rows  # ones in the rows above each row, set on entering the row
+    best_value = 0
+    best_cells = bytes(total)  # all-zero avoids any pattern with a one
+    contained = bounded = unsorted = 0
+    idx = ones = 0  # the node being visited: cells[:idx] decided, `ones` of them 1
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(n, node_budget)  # strips share n and the budget
+        if idx == total:
+            if ones > best_value:
+                best_value = ones
+                best_cells = bytes(cells)
+        else:
+            r, c = divmod(idx, n)
+            if not c:
+                above[r] = ones
+            bound = ones + n - c + strip[rows - r - 1]
+            if r and above[r] + strip[rows - r] < bound:
+                bound = above[r] + strip[rows - r]
+            if bound > best_value:
+                # A 1 may not lift row r over row r-1, nor column c over c-1.
+                if sort and (
+                    r and not cells[idx - n] and cells[idx - c : idx] == cells[idx - n - c : idx - n]
+                    or c and not colmasks[c - 1] >> r & 1
+                    and not (colmasks[c] ^ colmasks[c - 1]) & ((1 << r) - 1)
+                ):
+                    unsorted += 1
+                else:
+                    bit = 1 << r
+                    colmasks[c] |= bit
+                    if through(colmasks, r, c):
+                        colmasks[c] ^= bit  # contained: only the 0 branch remains
+                        contained += 1
+                    else:
+                        cells[idx] = 1
+                        ones += 1
+                idx += 1
+                continue
+            bounded += 1
+        # Backtrack: the deepest decided 1 still has its 0 branch to visit.
+        idx = cells.rfind(1, 0, idx)
+        if idx < 0:
+            break
+        cells[idx] = 0
+        ones -= 1
+        r, c = divmod(idx, n)
+        colmasks[c] ^= 1 << r
+        idx += 1
+    return best_value, best_cells, nodes, (contained, bounded, unsorted)
 
 
 def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> ExtremalRecord:
@@ -74,47 +155,19 @@ def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> Ex
     if count_ones(P) == 0:
         raise ValueError("pattern has no ones; every matrix contains it")
 
-    total = n * n
-    through = copies_through(P, n)
-    cells = bytearray(total)
-    colmasks = [0] * n
-    best_value = 0
-    best_witness = bytes(total)  # all-zero avoids any pattern with a one
-    nodes = 0
-    idx = ones = 0  # the node being visited: cells[:idx] decided, `ones` of them 1
-    while True:
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(n, node_budget)
-        if idx == total:
-            if ones > best_value:
-                best_value = ones
-                best_witness = bytes(cells)
-        elif ones + (total - idx) > best_value:
-            r, c = divmod(idx, n)
-            bit = 1 << r
-            colmasks[c] |= bit
-            if through(colmasks, r, c):
-                colmasks[c] ^= bit  # contained: only the 0 branch remains
-            else:
-                cells[idx] = 1
-                ones += 1
-            idx += 1
-            continue
-        # Backtrack: the deepest decided 1 still has its 0 branch to visit.
-        idx = cells.rfind(1, 0, idx)
-        if idx < 0:
-            break
-        cells[idx] = 0
-        ones -= 1
-        r, c = divmod(idx, n)
-        colmasks[c] ^= 1 << r
-        idx += 1
-
-    witness = BitMatrix(n, n, best_witness)
+    nodes, cuts = 0, (0, 0, 0)
+    strip = [0]  # strip[m] = ex(m x n, P), for m < n
+    for m in range(1, n + 1):  # the strips, then the n x n search itself
+        if m < n and (m < P.rows or n < P.cols):
+            value = m * n  # P does not fit, so the strip is all ones
+        else:
+            value, cells, nodes, more = _search(m, n, P, strip, nodes, node_budget)
+            cuts = tuple(map(sum, zip(cuts, more)))
+        strip.append(value)
+    witness = BitMatrix(n, n, cells)
     if dispatch(witness, P):  # cross-check of the incremental test
         raise RuntimeError(f"extremal search for n={n} produced a witness containing the pattern")
-    return ExtremalRecord(n, P, best_value, witness, nodes)
+    return ExtremalRecord(n, P, value, witness, nodes, *cuts, tuple(strip[1:n]))
 
 
 def verify_record(rec: ExtremalRecord) -> bool:

@@ -306,6 +306,7 @@ def max_allones_rows(A: BitMatrix, t: int) -> int:
 
     Scans rows, counting per t-subset of columns the rows covering it;
     counters are created lazily, so a row with q ones costs C(q, t) increments.
+    A subset's key is its columns read as a base-``A.cols`` number.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -316,13 +317,16 @@ def max_allones_rows(A: BitMatrix, t: int) -> int:
     for r in range(1, A.rows + 1):
         rowb = A.row(r)
         xs = [i for i, v in enumerate(rowb) if v]
-        if len(xs) < t:
-            continue
-        for sub in combinations(xs, t):
-            v = counters.get(sub, 0) + 1
-            counters[sub] = v
-            if v > best:
-                best = v
+        for head in combinations(range(len(xs) - 1), t - 1):
+            base = 0
+            for i in head:
+                base = (base + xs[i]) * A.cols
+            for x in xs[head[-1] + 1 if head else 0 :]:
+                key = base + x
+                v = counters.get(key, 0) + 1
+                counters[key] = v
+                if v > best:
+                    best = v
     return best
 
 

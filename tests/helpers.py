@@ -9,8 +9,8 @@ can validate each other.
 kept, the reference for the rolling two-column form in ``fast._tuple_scan``.
 
 ``ex_reference`` is the extremal search in its plain recursive form, deciding
-every node with a full ``contains_naive`` call; the library's incremental,
-explicit-stack ``ex_exact`` must reproduce it node for node.
+every node with a full ``contains_naive`` call and bounding by the cells left
+only; the library's ``ex_exact`` must reproduce its value and witness.
 """
 
 from itertools import combinations

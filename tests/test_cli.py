@@ -266,10 +266,28 @@ class TestExtremal:
         assert main(["extremal", "--pattern", p, "--n", "3", "--node-budget", "1000"]) == 0
         captured = capsys.readouterr()
         assert captured.out == "ex(3,P) = 6\n"
-        nodes = ex_exact(3, all_ones(2, 2)).nodes
+        rec = ex_exact(3, all_ones(2, 2))
         assert captured.err == (
-            f"ex(3,P): {nodes} search nodes, {nodes / 10:.2f}% of the node budget\n"
+            f"ex(3,P): {rec.nodes} search nodes, {rec.nodes / 10:.2f}% of the node budget\n"
+            f"ex(3,P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
+            f"{rec.cut_symmetry} by symmetry; strip table ex(m x 3,P), m < 3: 3 4\n"
         )
+        assert (rec.nodes, rec.cut_contained, rec.cut_bound, rec.cut_symmetry) == (51, 6, 12, 11)
+
+    def test_n1_reports_an_empty_strip_table(self, files, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        assert main(["extremal", "--pattern", p, "--n", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ex(1,P) = 1\n"
+        assert captured.err.splitlines()[1] == (
+            "ex(1,P): cut 0 by containment, 0 by bound, 0 by symmetry; "
+            "strip table ex(m x 1,P), m < 1: none"
+        )
+
+    def test_zarankiewicz_n8(self, files, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        assert main(["extremal", "--pattern", p, "--n", "8"]) == 0
+        assert capsys.readouterr().out == "ex(8,P) = 24\n"
 
     @pytest.mark.parametrize("n_max", ["0", "-1"])
     def test_nonpositive_n_max_exit_two(self, files, capsys, n_max):
@@ -293,6 +311,20 @@ class TestExtremal:
         captured = capsys.readouterr()
         assert code == 3
         assert "inconclusive" in captured.err
+
+    @pytest.mark.parametrize("phase", ["strip", "final"])
+    def test_budget_exhaustion_in_either_phase_exit_three(self, files, capsys, phase):
+        # Budget 1 runs out in the first strip search (m = 3), one node short
+        # of the total at the last node of the n x n search.
+        p = files("p.txt", identity(3))
+        budget = 1 if phase == "strip" else ex_exact(5, identity(3)).nodes - 1
+        code = main(["extremal", "--pattern", p, "--n", "5", "--node-budget", str(budget)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"ex(5,P) inconclusive: node budget {budget} exceeded while searching n=5\n"
+        )
 
     def test_witness_and_cache_outputs(self, files, tmp_path, capsys):
         p = files("p.txt", all_ones(2, 2))

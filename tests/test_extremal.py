@@ -75,30 +75,52 @@ class TestAgainstEnumeration:
                 assert ex_exact(n, P).value == ex_by_enumeration(n, P)
 
 
+def has_zero_line(P):
+    lines = [P.row(r) for r in range(1, P.rows + 1)] + [P.column(c) for c in range(1, P.cols + 1)]
+    return not all(map(any, lines))
+
+
+def assert_matches_reference(rec, n, P):
+    """Same value and witness as the plain search, and a cap on the nodes.
+
+    The strip searches count in ``rec.nodes``. They pay for themselves except
+    where the strip bound barely prunes: for a P with an all-zero row or
+    column, what a strip may hold depends mostly on the rows around it, which
+    the bound ignores, and the 1x1 pattern has nothing to prune. Those cases
+    may take 2.5 times the plain search's nodes (the worst of the 2,046 below
+    is the 2x1 pattern 1/0 at n = 4, 51 against 21); all others no more.
+    """
+    ref = ex_reference(n, P)
+    assert (rec.value, rec.witness) == (ref.value, ref.witness), (serialize(P), n)
+    cap = 2.5 if has_zero_line(P) or P.rows * P.cols == 1 else 1
+    assert rec.nodes <= cap * ref.nodes, (serialize(P), n, rec.nodes, ref.nodes)
+
+
 class TestAgainstReferenceSearch:
-    """The incremental search visits the recursive full-oracle search's nodes, in order."""
+    """Strip bound and symmetry rule keep the recursive full-oracle search's value and witness."""
 
     def test_every_pattern_up_to_3x3_at_n_up_to_3(self):
         for P in all_patterns_up_to(3, 3, require_ones=True):
             for n in (1, 2, 3):
-                assert ex_exact(n, P) == ex_reference(n, P), (serialize(P), n)
+                assert_matches_reference(ex_exact(n, P), n, P)
 
     def test_every_pattern_up_to_2x2_at_n4(self):
         for P in all_patterns_up_to(2, 2, require_ones=True):
-            assert ex_exact(4, P) == ex_reference(4, P), serialize(P)
+            assert_matches_reference(ex_exact(4, P), 4, P)
 
     def test_named_patterns_at_n4(self):
         for P in (all_ones(2, 2), identity(3), G, lshape(2, 3), cross(3, 3, 2, 2)):
-            assert ex_exact(4, P) == ex_reference(4, P), serialize(P)
+            assert_matches_reference(ex_exact(4, P), 4, P)
 
     def test_benchmark_pairs_frozen(self):
-        # Values, witnesses and node counts of the recursive search before it
-        # became incremental; the node counts fix the budget semantics too.
+        # Values and witnesses of the plain search; node counts of this one,
+        # strip tables included, all below the plain search's 725,913 /
+        # 165,969 / 322,446 / 276,678. The counts fix the budget semantics too.
         cases = [
-            (5, all_ones(2, 2), 12, 725_913, "11110/10001/01001/00101/00011"),
-            (5, identity(3), 16, 165_969, "11111/11111/11000/11000/11000"),
-            (6, identity(2), 11, 322_446, "111111/100000/100000/100000/100000/100000"),
-            (5, G, 15, 276_678, "11000/01111/11100/11010/11001"),
+            (5, all_ones(2, 2), 12, 1_103, "11110/10001/01001/00101/00011"),
+            (5, identity(3), 16, 101_867, "11111/11111/11000/11000/11000"),
+            (6, identity(2), 11, 138_535, "111111/100000/100000/100000/100000/100000"),
+            (5, G, 15, 112_301, "11000/01111/11100/11010/11001"),
         ]
         for n, P, value, nodes, witness in cases:
             rec = ex_exact(n, P)
@@ -108,7 +130,37 @@ class TestAgainstReferenceSearch:
     def test_deep_search_needs_no_recursion(self):
         rec = ex_exact(32, all_ones(1, 1))
         assert rec.value == 0
-        assert rec.nodes == 32 * 32 + 1
+        # 31 strips and the final search each visit the 32 cells of row 0 and
+        # one node more: the 1-row strip's leaf, or (1, 0), where the bound cuts.
+        assert rec.nodes == 32 * 33
+        # A 33x1 column fits in no strip, so no strip is searched and the one
+        # search dives 32 * 32 cells deep, then cuts each 0 branch on the way up.
+        rec = ex_exact(32, all_ones(33, 1))
+        assert (rec.value, rec.nodes) == (32 * 32, 2 * 32 * 32 + 1)
+        assert rec.strip == tuple(32 * m for m in range(1, 32))
+
+
+class TestClosedForms:
+    def test_zarankiewicz_numbers(self):
+        # z(n; 2), the most ones in an n x n matrix with no 2x2 all-ones submatrix
+        expected = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16, 7: 21}
+        assert {n: ex_exact(n, all_ones(2, 2)).value for n in expected} == expected
+
+    def test_lines_of_ones(self):
+        for k in (2, 3, 4):
+            for n in range(k, 7):
+                assert ex_exact(n, all_ones(k, 1)).value == (k - 1) * n, (k, n)
+                assert ex_exact(n, all_ones(1, k)).value == (k - 1) * n, (k, n)
+
+    def test_identities(self):
+        for k in (2, 3):
+            for n in range(k, 6):
+                assert ex_exact(n, identity(k)).value == (k - 1) * (2 * n - k + 1), (k, n)
+
+    def test_strip_table_is_the_rectangular_extremal_function(self):
+        rec = ex_exact(5, all_ones(2, 2))
+        assert rec.strip == (5, 6, 8, 10)
+        assert ex_exact(3, all_ones(3, 1)).strip == (3, 6)  # strips too short for P are all ones
 
 
 class TestRecordValidation:
@@ -158,6 +210,17 @@ class TestErrors:
         assert ex_exact(4, all_ones(2, 2), node_budget=nodes).nodes == nodes
         with pytest.raises(SearchBudgetExceeded):
             ex_exact(4, all_ones(2, 2), node_budget=nodes - 1)
+
+    @pytest.mark.parametrize("phase", ["strip", "final"])
+    def test_budget_names_the_callers_search(self, phase):
+        # The strips are searched first: budget 1 runs out in the m = 3 strip
+        # (I3 fits no shorter one), one node short of the total at the last
+        # node of the n x n search. Either way the error names n and the budget.
+        budget = 1 if phase == "strip" else ex_exact(5, identity(3)).nodes - 1
+        with pytest.raises(SearchBudgetExceeded) as info:
+            ex_exact(5, identity(3), node_budget=budget)
+        assert (info.value.n, info.value.budget) == (5, budget)
+        assert str(info.value) == f"node budget {budget} exceeded while searching n=5"
 
 
 class TestStructuralProperties:

@@ -5,126 +5,42 @@ quadratic-time scans for the recognized pattern families, a counter scan for
 all-ones rectangles, and a brute-force oracle for everything else; compute
 exact extremal values (the most ones an avoiding matrix can carry) for small
 n; and benchmark the scans to check their complexity empirically.
+
+The exports resolve lazily (PEP 562): ``import patcon`` loads no submodule,
+and ``patcon.X`` imports the submodule defining X on first use, so a
+``patcon check`` process never loads the extremal search or the benchmark
+code.
 """
 
-from .matrix import (
-    AllOnes,
-    BitMatrix,
-    ColumnOnes,
-    Cross,
-    General,
-    Identity,
-    LShape,
-    MatrixFormatError,
-    PatternClass,
-    RowOnes,
-    TupleIdentity,
-    all_ones,
-    classify_pattern,
-    count_ones,
-    cross,
-    identity,
-    lshape,
-    parse_matrix,
-    serialize,
-    serialize_sparse,
-    transpose,
-    tuple_identity,
-    zeros,
-)
-from .naive import contains_naive
-from .fast import (
-    PrefilterResult,
-    UnsupportedPatternError,
-    contains_allones,
-    contains_column_ones,
-    contains_cross,
-    contains_identity,
-    contains_lshape,
-    contains_tuple_identity,
-    dispatch,
-    max_allones_rows,
-    max_column_ones,
-    max_identity,
-    max_lshape_height,
-    max_tuple_identity_width,
-    ones_prefilter,
-)
-from .extremal import (
-    DEFAULT_NODE_BUDGET,
-    ExtremalRecord,
-    SearchBudgetExceeded,
-    bounds_from_cache,
-    ex_exact,
-    ex_table,
-    load_cache,
-    save_cache,
-    verify_record,
-)
-from .bench import (
-    BenchConfigError,
-    BenchReport,
-    bench_compare,
-    fit_exponent,
-    gen_avoider,
-    gen_random,
-    write_bench_csv,
-)
+from importlib import import_module
 
-__all__ = [
-    "AllOnes",
-    "BenchConfigError",
-    "BenchReport",
-    "BitMatrix",
-    "ColumnOnes",
-    "Cross",
-    "DEFAULT_NODE_BUDGET",
-    "ExtremalRecord",
-    "General",
-    "Identity",
-    "LShape",
-    "MatrixFormatError",
-    "PatternClass",
-    "PrefilterResult",
-    "RowOnes",
-    "SearchBudgetExceeded",
-    "TupleIdentity",
-    "UnsupportedPatternError",
-    "all_ones",
-    "bench_compare",
-    "bounds_from_cache",
-    "classify_pattern",
-    "contains_allones",
-    "contains_column_ones",
-    "contains_cross",
-    "contains_identity",
-    "contains_lshape",
-    "contains_naive",
-    "contains_tuple_identity",
-    "count_ones",
-    "cross",
-    "dispatch",
-    "ex_exact",
-    "ex_table",
-    "fit_exponent",
-    "gen_avoider",
-    "gen_random",
-    "identity",
-    "load_cache",
-    "lshape",
-    "max_allones_rows",
-    "max_column_ones",
-    "max_identity",
-    "max_lshape_height",
-    "max_tuple_identity_width",
-    "ones_prefilter",
-    "parse_matrix",
-    "save_cache",
-    "serialize",
-    "serialize_sparse",
-    "transpose",
-    "tuple_identity",
-    "verify_record",
-    "write_bench_csv",
-    "zeros",
-]
+_EXPORTS = {
+    "matrix": """AllOnes BitMatrix ColumnOnes Cross General Identity LShape MatrixFormatError
+        PatternClass RowOnes TupleIdentity all_ones classify_pattern count_ones cross identity
+        lshape parse_matrix serialize serialize_sparse transpose tuple_identity zeros""",
+    "naive": "contains_naive",
+    "fast": """BenchConfigError PrefilterResult UnsupportedPatternError contains_allones
+        contains_column_ones contains_cross contains_identity contains_lshape
+        contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
+        max_lshape_height max_tuple_identity_width ones_prefilter""",
+    "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache
+        ex_exact ex_table load_cache save_cache verify_record""",
+    "bench": "BenchReport bench_compare fit_exponent gen_avoider gen_random write_bench_csv",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # so that `import patcon; patcon.fast.dispatch` also works
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -19,18 +19,13 @@ import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass
 from time import perf_counter
 
-from .matrix import BitMatrix, classify_pattern
+from .matrix import BitMatrix, Frozen, classify_pattern
 from .naive import contains_naive
-from .fast import FAMILIES, LABELS, UnsupportedPatternError, dispatch, match_label
+from .fast import FAMILIES, LABELS, BenchConfigError, UnsupportedPatternError, dispatch, match_label
 
 log = logging.getLogger(__name__)
-
-
-class BenchConfigError(ValueError):
-    """Invalid benchmark configuration or label/pattern mismatch."""
 
 
 def gen_random(n: int, density: float, seed: int) -> BitMatrix:
@@ -91,8 +86,7 @@ def _runner_for(label: str, P: BitMatrix):
     return lambda A: family.scan(A, *fields)
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(Frozen):
     """Timing summary for one algorithm label.
 
     ``measurements`` holds (n, median_seconds, trials) per size in increasing
@@ -101,12 +95,7 @@ class BenchReport:
     (n, trial, seconds, contains) tuples for CSV emission.
     """
 
-    algo: str
-    measurements: tuple
-    exponent: float | None
-    generator: str
-    seed: int
-    runs: tuple
+    _fields = ("algo", "measurements", "exponent", "generator", "seed", "runs")
 
 
 def fit_exponent(measurements) -> float | None:

@@ -4,6 +4,10 @@ Exit codes follow the grep convention so shell pipelines can branch on the
 verdict without parsing output: 0 the matrix contains the pattern (or the
 command simply succeeded), 1 it avoids it, 2 any error, 3 an extremal search
 stopped at its node budget. Diagnostics go to stderr, results to stdout.
+
+Each command imports what it runs: ``extremal`` only for ``extremal`` and
+``check --bounds``, ``bench`` only for ``bench``, so a plain ``check`` starts
+up with the matrix, oracle and kernel modules alone.
 """
 
 from __future__ import annotations
@@ -14,15 +18,7 @@ import sys
 
 from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
 from .naive import contains_naive
-from .fast import LABELS, dispatch, match_label, route_label
-from .extremal import (
-    SearchBudgetExceeded,
-    DEFAULT_NODE_BUDGET,
-    bounds_from_cache,
-    ex_exact,
-    save_cache,
-)
-from .bench import BenchConfigError, bench_compare, write_bench_csv
+from .fast import LABELS, BenchConfigError, dispatch, match_label, route_label
 
 ALGO_CHOICES = ("auto", "naive", *LABELS)
 
@@ -52,6 +48,8 @@ def cmd_check(args) -> int:
     if args.algo == "auto":
         bounds = None
         if args.bounds and os.path.exists(args.bounds):
+            from .extremal import bounds_from_cache
+
             bounds = bounds_from_cache(args.bounds, P)
         elif args.bounds:
             print(f"patcon: warning: bounds file {args.bounds} not found; prefilter off",
@@ -74,17 +72,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .extremal import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, ex_exact, save_cache
+
     P = _read_matrix(args.pattern)
+    budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("n-max must be positive")
-    if args.node_budget < 1:
+    if budget < 1:
         raise ValueError("node-budget must be positive")
     ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
     records = []
     status = 0
     for n in ns:
         try:
-            rec = ex_exact(n, P, node_budget=args.node_budget)
+            rec = ex_exact(n, P, node_budget=budget)
         except SearchBudgetExceeded as exc:
             print(f"ex({n},P) inconclusive: {exc}", file=sys.stderr)
             status = 3
@@ -92,7 +93,7 @@ def cmd_extremal(args) -> int:
         print(f"ex({n},P) = {rec.value}")
         print(
             f"ex({n},P): {rec.nodes} search nodes, "
-            f"{100 * rec.nodes / args.node_budget:.2f}% of the node budget",
+            f"{100 * rec.nodes / budget:.2f}% of the node budget",
             file=sys.stderr,
         )
         print(f"ex({n},P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
@@ -110,6 +111,8 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import bench_compare, write_bench_csv
+
     P = _read_matrix(args.pattern)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n-max", type=int, default=None)
     p.add_argument("--witness-out", default=None, help="directory for witness files")
     p.add_argument("--cache-out", default=None, help="write an extremal cache file")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int, default=None)  # None: extremal's default
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("bench", help="time algorithms and fit complexity exponents")

@@ -41,9 +41,7 @@ budget, shared with the strip searches, turns runaway searches into an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .matrix import BitMatrix, count_ones, parse_matrix, serialize
+from .matrix import BitMatrix, Frozen, count_ones, parse_matrix, serialize
 from .naive import contains_naive, copies_through
 from .fast import dispatch
 
@@ -59,8 +57,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(Frozen):
     """Exact extremal value with a certifying avoider.
 
     ``witness`` is an n x n matrix with exactly ``value`` ones that avoids
@@ -70,15 +67,10 @@ class ExtremalRecord:
     P) for m < n, included; ``cut_*`` count the branches each rule cut.
     """
 
-    n: int
-    pattern: BitMatrix
-    value: int
-    witness: BitMatrix
-    nodes: int = 0
-    cut_contained: int = 0
-    cut_bound: int = 0
-    cut_symmetry: int = 0
-    strip: tuple = ()
+    _fields = ("n", "pattern", "value", "witness", "nodes", "cut_contained", "cut_bound",
+               "cut_symmetry", "strip")
+    nodes = cut_contained = cut_bound = cut_symmetry = 0  # the defaults
+    strip = ()
 
 
 def _search(rows: int, n: int, P: BitMatrix, strip, nodes: int, node_budget: int) -> tuple:

@@ -29,7 +29,10 @@ print, under the same labels.
 its paper scan and its dense avoider; ``dispatch``, the CLI's ``--algo``
 selectors and ``bench``'s timed runners and avoiders are all read from it,
 so a new family is one new entry. The entries look the kernels and scans up
-as module globals at call time.
+as module globals at call time. Every ``check`` imports this module, so it
+keeps to cheap imports: ``Family`` is a ``matrix.Frozen`` value rather than
+a dataclass, and ``BenchConfigError``, which ``check --algo`` raises too,
+is defined here and re-exported by ``bench``.
 
 ``dispatch`` classifies the pattern, optionally applies the ones-count
 prefilter when the caller supplies a trusted extremal bound, routes to the
@@ -38,10 +41,8 @@ matching kernel, and falls back to the brute-force oracle for general patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, repeat
-from typing import Callable
 
 from .matrix import (
     PATTERN_SHAPES,
@@ -49,6 +50,7 @@ from .matrix import (
     BitMatrix,
     ColumnOnes,
     Cross,
+    Frozen,
     Identity,
     LShape,
     PatternClass,
@@ -399,6 +401,10 @@ class UnsupportedPatternError(ValueError):
     """No dense avoiding construction is known for this pattern class."""
 
 
+class BenchConfigError(ValueError):
+    """Invalid benchmark configuration or label/pattern mismatch."""
+
+
 def _full_rows(n: int, m: int) -> BitMatrix:
     """n x n matrix whose first m rows are all ones: no column has m+1 ones."""
     if m < 1:
@@ -415,8 +421,7 @@ def _corner(n: int, m: int) -> BitMatrix:
     return BitMatrix(n, n, b"\x01" * (m * n) + (b"\x01" * m + bytes(n - m)) * (n - m))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """A pattern family; its callables take the class's fields after their first argument.
 
     ``label`` names the route in CLI output and in the ``--algo``/``--algos``
@@ -425,10 +430,7 @@ class Family:
     ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern.
     """
 
-    label: str
-    contains: Callable[..., bool]
-    scan: Callable[..., bool]
-    avoider: Callable[..., BitMatrix]
+    _fields = ("label", "contains", "scan", "avoider")
 
 
 FAMILIES = {

@@ -12,42 +12,84 @@ column of ones, an identity, a cross, ...), so classification tries the
 structural matchers of ``PATTERN_SHAPES`` in a fixed priority -- column-ones,
 row-ones, all-ones, identity, tuple identity, L-shape, cross -- and every
 pattern gets exactly one canonical class, ``General`` when none matches.
+Small patterns are classified once and then served from a bounded cache.
 What each family is decided, timed and avoided with lives in the family
 table of ``fast.py``.
+
+``BitMatrix``, the pattern classes and the package's other records are
+``Frozen`` values: plain classes with the equality, hashing, repr and
+immutability of frozen dataclasses, which would cost every ``patcon check``
+process the import of ``dataclasses`` and the generation of their methods.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
 
 
 class MatrixFormatError(ValueError):
     """Malformed matrix text: ragged rows, bad characters, bad or duplicate coordinates."""
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class Frozen:
+    """An immutable value, like a frozen dataclass without the cost of building one.
+
+    ``__init__`` takes the names in ``_fields`` positionally or by keyword,
+    a class attribute of the same name being the default, and stores them in
+    ``__dict__`` in that order. Instances are equal when their classes and
+    fields are, hash by their fields, and refuse assignment with
+    AttributeError.
+    """
+
+    _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__} needs the field {name!r}")
+            fields[name] = kwargs.pop(name, getattr(cls, name, None))
+        if kwargs or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields) or 'none'}")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class BitMatrix(Frozen):
     """Immutable 0-1 matrix stored row-major; indices are 1-based.
 
     ``cells[(r-1)*cols + (c-1)]`` holds the value at row r, column c.
     """
 
-    rows: int
-    cols: int
-    cells: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.cells, bytes):
-            object.__setattr__(self, "cells", bytes(self.cells))
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"dimensions must be positive, got {self.rows}x{self.cols}")
-        if len(self.cells) != self.rows * self.cols:
-            raise ValueError(
-                f"cell count {len(self.cells)} does not match {self.rows}x{self.cols}"
-            )
-        if self.cells.translate(None, b"\0\1"):
+    def __init__(self, rows: int, cols: int, cells: bytes):
+        if not isinstance(cells, bytes):
+            cells = bytes(cells)
+        if rows < 1 or cols < 1:
+            raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
+        if len(cells) != rows * cols:
+            raise ValueError(f"cell count {len(cells)} does not match {rows}x{cols}")
+        if cells.translate(None, b"\0\1"):
             raise ValueError("cells must contain only 0 and 1")
+        self.__dict__.update(rows=rows, cols=cols, cells=cells)
 
     @classmethod
     def from_rows(cls, row_values) -> "BitMatrix":
@@ -154,7 +196,7 @@ def column_masks(M: BitMatrix):
 # --- pattern classification -------------------------------------------------
 
 
-class PatternClass:
+class PatternClass(Frozen):
     """Base class of the pattern-shape classifications."""
 
     def __str__(self) -> str:
@@ -163,48 +205,34 @@ class PatternClass:
         return " ".join([name, *(f"{field}={value}" for field, value in vars(self).items())])
 
 
-@dataclass(frozen=True)
 class ColumnOnes(PatternClass):
-    k: int
+    _fields = ("k",)
 
 
-@dataclass(frozen=True)
 class RowOnes(PatternClass):
-    w: int
+    _fields = ("w",)
 
 
-@dataclass(frozen=True)
 class AllOnes(PatternClass):
-    k: int
-    l: int
+    _fields = ("k", "l")
 
 
-@dataclass(frozen=True)
 class Identity(PatternClass):
-    k: int
+    _fields = ("k",)
 
 
-@dataclass(frozen=True)
 class TupleIdentity(PatternClass):
-    j: int
-    k: int
+    _fields = ("j", "k")
 
 
-@dataclass(frozen=True)
 class LShape(PatternClass):
-    h: int
-    w: int
+    _fields = ("h", "w")
 
 
-@dataclass(frozen=True)
 class Cross(PatternClass):
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
 class General(PatternClass):
     pass
 
@@ -290,13 +318,32 @@ PATTERN_SHAPES = (
 )
 
 
+CLASSIFY_CACHE_CELLS = 1024  # larger patterns are classified afresh, not kept alive
+
+
 def classify_pattern(P: BitMatrix) -> PatternClass:
-    """Most specific shape class of P under the canonical priority order."""
+    """Most specific shape class of P under the canonical priority order.
+
+    Patterns of up to CLASSIFY_CACHE_CELLS cells are memoized in a bounded
+    LRU cache keyed by their dimensions and cells; the classes are
+    immutable, so callers may share them.
+    """
+    if len(P.cells) > CLASSIFY_CACHE_CELLS:
+        return _classify(P)
+    return _classify_cached(P.rows, P.cols, P.cells)
+
+
+def _classify(P: BitMatrix) -> PatternClass:
     for shape, match in PATTERN_SHAPES:
         fields = match(P)
         if fields is not None:
             return shape(*fields)
     return General()
+
+
+@lru_cache(maxsize=4096)
+def _classify_cached(rows: int, cols: int, cells: bytes) -> PatternClass:
+    return _classify(BitMatrix(rows, cols, cells))
 
 
 # --- text formats -----------------------------------------------------------

@@ -1,6 +1,12 @@
-"""Command-line contract: verdict text, exit codes, and file side effects."""
+"""Command-line contract: verdict text, exit codes, file side effects, and start-up imports."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+
+import patcon
 
 from patcon import (
     BitMatrix,
@@ -413,3 +419,54 @@ class TestExitContract:
         for argv in invocations:
             assert main(argv) in {0, 1, 2, 3}
             capsys.readouterr()
+
+
+class TestStartupImports:
+    """A process imports only what its command runs (the package exports resolve lazily)."""
+
+    FORBIDDEN = {"patcon.bench", "patcon.extremal", "dataclasses", "logging", "statistics"}
+
+    @staticmethod
+    def loaded(code, *args):
+        """Modules a fresh interpreter holds after running ``code``, less those of ``pass``."""
+        src = os.path.dirname(os.path.dirname(patcon.__file__))
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+        def modules(snippet):
+            proc = subprocess.run(
+                [sys.executable, "-c", snippet + "\nimport sys; print(*sys.modules)", *args],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            return set(proc.stdout.splitlines()[-1].split())
+
+        return modules(code) - modules("pass")
+
+    def test_import_patcon_loads_no_submodule(self):
+        assert {m for m in self.loaded("import patcon") if m.startswith("patcon.")} == set()
+
+    def test_import_cli_skips_extremal_and_bench(self):
+        loaded = self.loaded("import patcon.cli")
+        assert "patcon.fast" in loaded
+        assert loaded & self.FORBIDDEN == set()
+
+    def test_check_skips_extremal_and_bench(self, files, tmp_path):
+        a, p = files("a.txt", identity(5)), files("p.txt", identity(2))
+        run = "from patcon.cli import main; import sys; assert main(sys.argv[1:]) == 0"
+        loaded = self.loaded(run, "check", "--matrix", a, "--pattern", p)
+        assert loaded & self.FORBIDDEN == set()
+        # the test sees the import when it does happen: --bounds reads the extremal cache
+        cache = str(tmp_path / "cache.txt")
+        assert main(["extremal", "--pattern", p, "--n", "2", "--cache-out", cache]) == 0
+        assert "patcon.extremal" in self.loaded(
+            run, "check", "--matrix", a, "--pattern", p, "--bounds", cache)
+
+    def test_exports_listed_and_star_importable(self):
+        assert set(patcon.__all__) <= set(dir(patcon))
+        namespace = {}
+        exec("from patcon import *", namespace)
+        assert set(patcon.__all__) <= set(namespace)
+        assert namespace["BitMatrix"] is patcon.matrix.BitMatrix
+        assert patcon.BenchConfigError is patcon.bench.BenchConfigError is patcon.fast.BenchConfigError
+        with pytest.raises(AttributeError):
+            patcon.no_such_name

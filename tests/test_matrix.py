@@ -29,6 +29,9 @@ from patcon import (
     zeros,
 )
 
+from patcon.bench import BenchReport
+from patcon.extremal import ExtremalRecord
+from patcon.fast import FAMILIES, Family
 from patcon.matrix import column_masks, row_masks
 
 from helpers import all_matrices
@@ -241,6 +244,89 @@ class TestClassification:
         assert classify_pattern(cross(4, 5, 2, 3)) == Cross(4, 5, 2, 3)
         assert classify_pattern(identity(4)) == Identity(4)
         assert classify_pattern(all_ones(3, 2)) == AllOnes(3, 2)
+
+
+class TestValueSemantics:
+    """The records are plain classes that behave as frozen dataclasses did."""
+
+    def test_matrices_equal_by_fields(self):
+        assert identity(2) == BitMatrix(2, 2, b"\x01\x00\x00\x01")
+        assert identity(2) == BitMatrix(rows=2, cols=2, cells=[1, 0, 0, 1])
+        assert hash(identity(2)) == hash(BitMatrix.from_rows([[1, 0], [0, 1]]))
+        assert identity(2) != all_ones(2, 2)
+        assert all_ones(1, 4) != all_ones(4, 1)
+        assert identity(2) != (2, 2, b"\x01\x00\x00\x01")
+
+    def test_pattern_classes_equal_by_class_and_fields(self):
+        assert ColumnOnes(3) == ColumnOnes(k=3)
+        assert hash(Cross(4, 5, 2, 3)) == hash(Cross(4, 5, 2, 3))
+        assert ColumnOnes(3) != RowOnes(3)
+        assert ColumnOnes(3) != ColumnOnes(4)
+        assert Identity(2) != TupleIdentity(1, 2)
+        assert General() == General()
+        assert len({ColumnOnes(3), RowOnes(3), ColumnOnes(3)}) == 2
+
+    def test_matrix_and_pattern_key_a_bounds_dict(self):
+        bounds = {(3, identity(2)): 5, (3, all_ones(2, 2)): 6}
+        assert bounds[(3, BitMatrix.from_rows([[1, 0], [0, 1]]))] == 5
+        assert (3, all_ones(2, 1)) not in bounds
+        assert {RowOnes(2): "row"}[RowOnes(w=2)] == "row"
+
+    def test_fields_cannot_be_assigned(self):
+        M, shape = identity(2), classify_pattern(lshape(3, 2))
+        rec = ExtremalRecord(1, M, 0, zeros(1, 1))
+        for value, field in ((M, "rows"), (shape, "h"), (rec, "value"), (FAMILIES[LShape], "label")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 9)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            M.extra = 1
+        assert vars(shape) == {"h": 3, "w": 2}
+
+    def test_constructor_arity(self):
+        with pytest.raises(TypeError):
+            ColumnOnes()
+        with pytest.raises(TypeError):
+            ColumnOnes(1, 2)
+        with pytest.raises(TypeError):
+            AllOnes(2, m=3)
+        with pytest.raises(TypeError):
+            ExtremalRecord(1, identity(2), 0)
+
+    def test_extremal_record_defaults(self):
+        rec = ExtremalRecord(3, identity(2), 5, zeros(3, 3))
+        assert (rec.n, rec.value, rec.nodes, rec.cut_contained, rec.cut_bound) == (3, 5, 0, 0, 0)
+        assert (rec.cut_symmetry, rec.strip) == (0, ())
+        assert rec == ExtremalRecord(3, identity(2), 5, zeros(3, 3), 0, strip=())
+        assert rec != ExtremalRecord(3, identity(2), 5, zeros(3, 3), 1)
+        assert list(vars(rec))[:4] == ["n", "pattern", "value", "witness"]
+
+    def test_reprs(self):
+        assert repr(BitMatrix(1, 2, b"\x01\x00")) == "BitMatrix(rows=1, cols=2, cells=b'\\x01\\x00')"
+        assert repr(Cross(4, 5, 2, 3)) == "Cross(a=4, b=5, c=2, d=3)"
+        assert repr(General()) == "General()"
+        assert repr(ExtremalRecord(1, all_ones(1, 1), 0, zeros(1, 1))) == (
+            "ExtremalRecord(n=1, pattern=BitMatrix(rows=1, cols=1, cells=b'\\x01'), value=0, "
+            "witness=BitMatrix(rows=1, cols=1, cells=b'\\x00'), nodes=0, cut_contained=0, "
+            "cut_bound=0, cut_symmetry=0, strip=())"
+        )
+        rep = BenchReport("identity", ((8, 0.5, 3),), None, "random(density=0.5)", 1, ())
+        assert repr(rep) == (
+            "BenchReport(algo='identity', measurements=((8, 0.5, 3),), exponent=None, "
+            "generator='random(density=0.5)', seed=1, runs=())"
+        )
+        assert repr(Family("x", 1, 2, 3)) == "Family(label='x', contains=1, scan=2, avoider=3)"
+
+    def test_classification_is_shared_and_immutable(self):
+        P = BitMatrix.from_rows([[1, 0], [0, 1]])
+        shape = classify_pattern(P)
+        assert classify_pattern(identity(2)) is shape
+        with pytest.raises(AttributeError):
+            shape.k = 3
+        assert str(classify_pattern(identity(2))) == "identity k=2"
+        big = identity(40)  # over the cache's cell limit: classified afresh, same value
+        assert classify_pattern(big) == classify_pattern(identity(40)) == Identity(40)
 
 
 def test_every_export_resolves():

@@ -68,8 +68,8 @@ def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
 def _runner_for(label: str, P: BitMatrix):
     """Map a label to the callable timed on each input matrix.
 
-    A scan label is resolved structurally, as ``check --algo`` resolves it,
-    and runs its family's full-scan verdict.
+    A scan label is resolved by ``fast.match_label``, as ``check --algo``
+    resolves it, and runs its family's full-scan verdict.
     """
     if label == "naive":
         return lambda A: contains_naive(A, P)

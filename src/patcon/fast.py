@@ -34,9 +34,9 @@ keeps to cheap imports: ``Family`` is a ``matrix.Frozen`` value rather than
 a dataclass, and ``BenchConfigError``, which ``check --algo`` raises too,
 is defined here and re-exported by ``bench``.
 
-``dispatch`` classifies the pattern, optionally applies the ones-count
-prefilter when the caller supplies a trusted extremal bound, routes to the
-matching kernel, and falls back to the brute-force oracle for general patterns.
+``dispatch`` first applies the ones-count prefilter when the caller supplies
+a trusted extremal bound; if that leaves the answer open, it classifies the
+pattern, routes to its family's kernel, or falls back to the oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .matrix import (
     classify_pattern,
     column_masks,
     count_ones,
+    fit,
     row_masks,
     transpose,
 )
@@ -492,16 +493,17 @@ def route_label(shape: PatternClass) -> str:
 
 
 def match_label(label: str, P: BitMatrix):
-    """(family, fields) of the first family under ``label`` whose matcher accepts P, else None.
+    """(family, fields) of the first family under ``label`` whose factory rebuilds P, else None.
 
-    The matching is structural, not by canonical priority: ``identity`` fits
-    the 1x1 pattern although it classifies as a column of ones, and
-    ``column`` fits a row of ones, whose family shares that label.
+    The fit goes through every family of the label, not by canonical
+    priority: ``identity`` fits the 1x1 pattern although it classifies as a
+    column of ones, and ``column`` fits a row of ones, whose family shares
+    that label.
     """
-    for shape, match in PATTERN_SHAPES:
-        family = FAMILIES.get(shape)
-        if family is not None and family.label == label:
-            fields = match(P)
+    for shape, fields_of, build in PATTERN_SHAPES:
+        family = FAMILIES[shape]
+        if family.label == label:
+            fields = fit(fields_of, build, P)
             if fields is not None:
                 return family, fields
     return None

@@ -7,14 +7,16 @@ Kernels that work on whole rows or columns read them as Python ints from
 ``row_masks``/``column_masks``, packed one at a time as they are read.
 
 ``classify_pattern`` recognizes the pattern families that have specialized
-containment scans. Several families overlap (a single 1 is simultaneously a
-column of ones, an identity, a cross, ...), so classification tries the
-structural matchers of ``PATTERN_SHAPES`` in a fixed priority -- column-ones,
-row-ones, all-ones, identity, tuple identity, L-shape, cross -- and every
-pattern gets exactly one canonical class, ``General`` when none matches.
-Small patterns are classified once and then served from a bounded cache.
-What each family is decided, timed and avoided with lives in the family
-table of ``fast.py``.
+containment scans. A family's shape is described once, by its factory
+(``all_ones``, ``identity``, ``lshape``, ...): each entry of
+``PATTERN_SHAPES`` reads the only fields P could have from its size (for a
+cross, its first full row and column), and ``fit`` accepts them when the
+factory rebuilds P. Families overlap (a single 1 is a column of ones, an
+identity, a cross, ...), so the first entry that fits, in the priority
+column-ones, row-ones, all-ones, identity, tuple identity, L-shape, cross,
+names P's one canonical class; ``General`` when none fits. Small patterns
+are classified once and then served from a bounded cache. What each family
+is decided, timed and avoided with lives in the family table of ``fast.py``.
 
 ``BitMatrix``, the pattern classes and the package's other records are
 ``Frozen`` values: plain classes with the equality, hashing, repr and
@@ -237,85 +239,31 @@ class General(PatternClass):
     pass
 
 
-def as_column_ones(P: BitMatrix):
-    """(k,) if P is a k x 1 column of ones, else None."""
-    if P.cols == 1 and count_ones(P) == P.rows:
-        return (P.rows,)
-    return None
+def _cross_center(P: BitMatrix):
+    """(a, b, c, d) for P's first full row c and first full column d, else None."""
+    c = next((r for r in range(1, P.rows + 1) if P.row(r).count(1) == P.cols), 0)
+    d = c and next((x for x in range(1, P.cols + 1) if P.column(x).count(1) == P.rows), 0)
+    return (P.rows, P.cols, c, d) if d else None
 
 
-def as_row_ones(P: BitMatrix):
-    """(w,) if P is a 1 x w row of ones, else None."""
-    if P.rows == 1 and count_ones(P) == P.cols:
-        return (P.cols,)
-    return None
-
-
-def as_all_ones(P: BitMatrix):
-    """(k, l) if P is all ones, else None."""
-    if count_ones(P) == P.rows * P.cols:
-        return (P.rows, P.cols)
-    return None
-
-
-def as_identity(P: BitMatrix):
-    """(k,) if P is square with ones exactly on the diagonal, else None."""
-    k = P.rows
-    if P.cols == k and count_ones(P) == k and P.cells[:: k + 1].count(1) == k:
-        return (k,)
-    return None
-
-
-def as_tuple_identity(P: BitMatrix):
-    """(j, k) if column i of P carries ones exactly in rows (i-1)j+1 .. ij, else None."""
-    k = P.cols
-    if P.rows % k != 0 or count_ones(P) != P.rows:
-        return None
-    j = P.rows // k
-    # the 0-based row r of the pattern carries its one in column r // j
-    if all(P.cells[r * k + r // j] for r in range(P.rows)):
-        return (j, k)
-    return None
-
-
-def as_lshape(P: BitMatrix):
-    """(h, w) if P has ones exactly in column 1 and row h, else None."""
-    h, w = P.rows, P.cols
-    if count_ones(P) != h + w - 1:
-        return None
-    if P.cells[::w].count(1) == h and P.row(h).count(1) == w:
-        return (h, w)
-    return None
-
-
-def as_cross(P: BitMatrix):
-    """(a, b, c, d) if P has ones exactly in one full row c and one full column d.
-
-    A single full row or column is a cross with its center anywhere along it;
-    it is reported with center (1, 1).
-    """
-    a, b = P.rows, P.cols
-    if count_ones(P) != a + b - 1:
-        return None
-    if a == 1 or b == 1:
-        return (a, b, 1, 1)
-    full_rows = [r for r in range(1, a + 1) if sum(P.row(r)) == b]
-    full_cols = [c for c in range(1, b + 1) if sum(P.column(c)) == a]
-    if len(full_rows) == 1 and len(full_cols) == 1:
-        return (a, b, full_rows[0], full_cols[0])
-    return None
-
-
-# Canonical priority: the first matcher that accepts P names its class.
+# In canonical priority: (class, the only fields a pattern of P's size could
+# have, or None, and the factory that builds the class's pattern from them).
 PATTERN_SHAPES = (
-    (ColumnOnes, as_column_ones),
-    (RowOnes, as_row_ones),
-    (AllOnes, as_all_ones),
-    (Identity, as_identity),
-    (TupleIdentity, as_tuple_identity),
-    (LShape, as_lshape),
-    (Cross, as_cross),
+    (ColumnOnes, lambda P: (P.rows,) if P.cols == 1 else None, lambda k: all_ones(k, 1)),
+    (RowOnes, lambda P: (P.cols,) if P.rows == 1 else None, lambda w: all_ones(1, w)),
+    (AllOnes, lambda P: (P.rows, P.cols), all_ones),
+    (Identity, lambda P: (P.rows,) if P.rows == P.cols else None, identity),
+    (TupleIdentity, lambda P: (P.rows // P.cols, P.cols) if P.rows % P.cols == 0 else None,
+     tuple_identity),
+    (LShape, lambda P: (P.rows, P.cols), lshape),
+    (Cross, _cross_center, cross),
 )
+
+
+def fit(fields_of, build, P: BitMatrix):
+    """The fields ``fields_of`` reads from P when ``build`` rebuilds P from them, else None."""
+    fields = fields_of(P)
+    return fields if fields is not None and build(*fields) == P else None
 
 
 CLASSIFY_CACHE_CELLS = 1024  # larger patterns are classified afresh, not kept alive
@@ -334,8 +282,8 @@ def classify_pattern(P: BitMatrix) -> PatternClass:
 
 
 def _classify(P: BitMatrix) -> PatternClass:
-    for shape, match in PATTERN_SHAPES:
-        fields = match(P)
+    for shape, fields_of, build in PATTERN_SHAPES:
+        fields = fit(fields_of, build, P)
         if fields is not None:
             return shape(*fields)
     return General()
@@ -352,8 +300,9 @@ def _classify_cached(rows: int, cols: int, cells: bytes) -> PatternClass:
 # blank lines are skipped; all rows must have equal length.
 #
 # Sparse: a header line "sparse R C" followed by one "r c" line per 1-entry
-# (1-based, whitespace separated); duplicate coordinates are an error. The
-# parser builds the dense cells, so R*C is capped at SPARSE_MAX_CELLS.
+# (1-based, whitespace separated); R, C, r and c are ASCII decimal digits, and
+# duplicate coordinates are an error. The parser builds the dense cells, so
+# R*C is capped at SPARSE_MAX_CELLS.
 
 SPARSE_MAX_CELLS = 1 << 26
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -393,7 +342,12 @@ def _parse_sparse(content) -> BitMatrix:
     header = content[0].split()
     if len(header) != 3:
         raise MatrixFormatError("sparse header must be 'sparse R C'")
+    # int() alone would also take '+2', '1_0' and non-ASCII digits; it still
+    # refuses a number too long to convert.
+    digits = header[1] + header[2]
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{' '.join(header[1:])!r} is not two decimal numbers")
         rows, cols = int(header[1]), int(header[2])
     except ValueError as exc:
         raise MatrixFormatError(f"bad sparse dimensions: {exc}") from None
@@ -403,22 +357,24 @@ def _parse_sparse(content) -> BitMatrix:
         raise MatrixFormatError(
             f"sparse dimensions {rows}x{cols} exceed the cap of {SPARSE_MAX_CELLS} cells"
         )
-    seen = set()
     cells = bytearray(rows * cols)
     for ln in content[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise MatrixFormatError(f"sparse entry must be 'r c', got {ln!r}")
+        digits = parts[0] + parts[1]
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"{ln!r} is not two decimal numbers")
             r, c = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise MatrixFormatError(f"bad sparse coordinate: {exc}") from None
         if not (1 <= r <= rows and 1 <= c <= cols):
             raise MatrixFormatError(f"coordinate ({r}, {c}) outside {rows}x{cols}")
-        if (r, c) in seen:
+        i = (r - 1) * cols + (c - 1)
+        if cells[i]:  # the cell itself records that (r, c) was seen
             raise MatrixFormatError(f"duplicate coordinate ({r}, {c})")
-        seen.add((r, c))
-        cells[(r - 1) * cols + (c - 1)] = 1
+        cells[i] = 1
     return BitMatrix(rows, cols, bytes(cells))
 
 

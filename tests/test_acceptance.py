@@ -2,11 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. The heavy criteria (exhaustive 4x4 equivalence,
-randomized n=32 equivalence, desk-scale timing) take a few minutes together.
+randomized n=32 equivalence, desk-scale timing) are marked ``slow``;
+``pytest -m "not slow"`` leaves them out of a quick run.
 """
 
 import random
 from itertools import combinations
+
+import pytest
 
 from patcon import (
     BitMatrix,
@@ -65,6 +68,7 @@ def _finish(name, failures):
     assert not failures, f"{name}: {len(failures)} failures, first: {failures[:3]}"
 
 
+@pytest.mark.slow
 def test_criterion_1_exhaustive_4x4_equivalence():
     patterns = criterion_pattern_set()
     assert len(patterns) == 63
@@ -77,6 +81,7 @@ def test_criterion_1_exhaustive_4x4_equivalence():
     _finish("criterion 1 (exhaustive 4x4 oracle equivalence)", failures)
 
 
+@pytest.mark.slow
 def test_criterion_2_randomized_32_equivalence():
     patterns = criterion_pattern_set()
     failures = []
@@ -142,6 +147,7 @@ def _fitted_exponent(label, P, sizes, seed):
     return report.exponent
 
 
+@pytest.mark.slow
 def test_criterion_5_empirical_complexity():
     failures = []
     for label, P in QUADRATIC_CASES:

@@ -140,6 +140,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("patcon: error: sparse dimensions")
 
+    def test_python_number_syntax_in_sparse_file_exit_two(self, tmp_path, files, capsys):
+        # int() would read this as a 10x10 matrix with a 1 at (10, 3)
+        a = tmp_path / "a.txt"
+        a.write_text("sparse 1_0 1_0\n1_0 ٣\n")
+        p = files("p.txt", all_ones(1, 1))
+        assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("patcon: error: bad sparse dimensions")
+
     def test_missing_bounds_file_warns(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", all_ones(1, 1))

@@ -1,5 +1,7 @@
 """Matrix representations, text formats, and shape classification."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from patcon import (
 
 from patcon.bench import BenchReport
 from patcon.extremal import ExtremalRecord
-from patcon.fast import FAMILIES, Family
+from patcon.fast import FAMILIES, LABELS, Family, match_label
 from patcon.matrix import column_masks, row_masks
 
 from helpers import all_matrices
@@ -176,6 +178,19 @@ class TestParsing:
             parse_matrix("sparse 2\n")
         with pytest.raises(MatrixFormatError):
             parse_matrix("sparse x y\n")
+        # signs, underscores, non-ASCII digits, decimals and numbers int() refuses
+        huge = "1" * 5000  # over int()'s digit limit
+        for header in ("sparse 1_0 1_0", "sparse +2 2", "sparse 2 ٣", "sparse -2 2", "sparse 2.0 2",
+                       f"sparse {huge} 2"):
+            with pytest.raises(MatrixFormatError, match="bad sparse dimensions"):
+                parse_matrix(header + "\n1 1\n")
+
+    @pytest.mark.parametrize("entry", ["1_0 ٣", "+1 1", "1 ١", "-1 1", "1 0x1", "1" * 5000 + " 1"],
+                             ids=["underscore-arabic", "plus", "arabic", "minus", "hex", "too-long"])
+    def test_sparse_coordinate_must_be_ascii_decimal(self, entry):
+        # signs, underscores, non-ASCII digits, prefixes and numbers int() refuses
+        with pytest.raises(MatrixFormatError, match="bad sparse coordinate"):
+            parse_matrix(f"sparse 10 10\n{entry}\n")
 
     @given(bit_matrices())
     def test_dense_round_trip(self, M):
@@ -244,6 +259,50 @@ class TestClassification:
         assert classify_pattern(cross(4, 5, 2, 3)) == Cross(4, 5, 2, 3)
         assert classify_pattern(identity(4)) == Identity(4)
         assert classify_pattern(all_ones(3, 2)) == AllOnes(3, 2)
+
+
+# Each class's factory, written out here independently of the library's table.
+FACTORIES = {
+    ColumnOnes: lambda k: all_ones(k, 1),
+    RowOnes: lambda w: all_ones(1, w),
+    AllOnes: all_ones,
+    Identity: identity,
+    TupleIdentity: tuple_identity,
+    LShape: lshape,
+    Cross: cross,
+}
+
+
+def test_classification_and_label_fits_pinned_on_small_patterns():
+    """Every pattern with r, c <= 4 and at most 12 cells: class counts, label fits, rebuilds."""
+    classes, fits, total = Counter(), Counter(), 0
+    for r in range(1, 5):
+        for c in range(1, 5):
+            if r * c > 12:
+                continue
+            for P in all_matrices(r, c):
+                total += 1
+                shape = classify_pattern(P)
+                classes[str(shape).split()[0]] += 1
+                if type(shape) is not General:
+                    assert FACTORIES[type(shape)](*vars(shape).values()) == P, shape
+                for label in LABELS:
+                    fit = match_label(label, P)
+                    if fit is not None:
+                        fits[label] += 1
+                        family, fields = fit
+                        shape_class = next(k for k, v in FAMILIES.items() if v is family)
+                        assert family.label == label
+                        assert FACTORIES[shape_class](*fields) == P, (label, fields)
+    assert total == 9418
+    assert classes == {
+        "all-ones": 8, "column-ones": 4, "cross": 57, "general": 9335,
+        "identity": 2, "lshape": 8, "row-ones": 3, "tuple-identity": 1,
+    }
+    assert fits == {
+        "allones": 15, "column": 7, "cross": 72, "identity": 3, "lshape": 15,
+        "tuple-identity": 7,
+    }
 
 
 class TestValueSemantics:

@@ -1,12 +1,13 @@
 """Input generators, wall-clock measurement, and empirical complexity exponents.
 
 ``bench_compare`` times containment scans on pseudorandom matrices across a
-ladder of sizes and fits the slope of log median-time against log n. The
-timed form of each specialized label is its full-scan ``max_*`` variant: the
-worst-case cost claims being checked are about complete scans, and on random
-inputs the early-exit forms would mostly measure how soon a threshold fires.
-The boolean verdict is still derived from the scanned statistic and, for
-sizes up to 64, cross-checked against the brute-force oracle.
+ladder of sizes and fits the slope of log median-time against log n. A
+selector resolves by ``fast.decider`` as in ``check --algo``, but a scan
+label times its family's full scan: the worst-case cost claims being checked
+are about complete scans, and on random inputs the early-exit kernels would
+mostly measure how soon a threshold fires. The verdict is still derived
+from the scanned statistic and, for sizes up to 64, cross-checked against
+the brute-force oracle.
 
 Generation is deterministic: ``gen_random(n, density, seed)`` fills cells
 row-major with one Mersenne Twister draw each, so identical arguments give
@@ -23,7 +24,7 @@ from time import perf_counter
 
 from .matrix import BitMatrix, Frozen, classify_pattern
 from .naive import contains_naive
-from .fast import FAMILIES, LABELS, BenchConfigError, UnsupportedPatternError, dispatch, match_label
+from .fast import FAMILIES, BenchConfigError, UnsupportedPatternError, decider, dispatch
 
 log = logging.getLogger(__name__)
 
@@ -60,30 +61,6 @@ def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
     if dispatch(M, P):
         raise RuntimeError(f"avoider construction for {cls!r} failed verification")
     return M
-
-
-# --- timed runners -----------------------------------------------------------
-
-
-def _runner_for(label: str, P: BitMatrix):
-    """Map a label to the callable timed on each input matrix.
-
-    A scan label is resolved by ``fast.match_label``, as ``check --algo``
-    resolves it, and runs its family's full-scan verdict.
-    """
-    if label == "naive":
-        return lambda A: contains_naive(A, P)
-    if label == "auto":
-        return lambda A: dispatch(A, P)
-    if label not in LABELS:
-        raise BenchConfigError(f"unknown algorithm label {label!r}")
-    fit = match_label(label, P)
-    if fit is None:
-        raise BenchConfigError(
-            f"label {label!r} does not apply to pattern class {classify_pattern(P)!r}"
-        )
-    family, fields = fit
-    return lambda A: family.scan(A, *fields)
 
 
 class BenchReport(Frozen):
@@ -132,7 +109,7 @@ def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials:
     if not 0.0 <= density <= 1.0:
         raise BenchConfigError("density must lie in [0, 1]")
 
-    runners = [(label, _runner_for(label, P)) for label in algos]
+    runners = [(label, decider(label, P, full_scan=True)) for label in algos]
     inputs = {n: [gen_random(n, density, seed + t) for t in range(trials)] for n in sizes}
 
     reports = []

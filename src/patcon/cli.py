@@ -7,7 +7,8 @@ stopped at its node budget. Diagnostics go to stderr, results to stdout.
 
 Each command imports what it runs: ``extremal`` only for ``extremal`` and
 ``check --bounds``, ``bench`` only for ``bench``, so a plain ``check`` starts
-up with the matrix, oracle and kernel modules alone.
+up with the matrix, oracle and kernel modules alone. ``check --algo`` runs
+``fast.decider``, but ``auto`` loads ``--bounds`` and prints dispatch's route.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import os
 import sys
 
 from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
-from .naive import contains_naive
-from .fast import LABELS, BenchConfigError, dispatch, match_label, route_label
-
-ALGO_CHOICES = ("auto", "naive", *LABELS)
+from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -29,17 +27,6 @@ def _read_matrix(path: str) -> BitMatrix:
             return parse_matrix(fh.read())
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None
-
-
-def _forced_runner(name: str, P: BitMatrix):
-    """Resolve a forced --algo selector by ``fast.match_label``; BenchConfigError if none fits."""
-    if name == "naive":
-        return lambda A: contains_naive(A, P)
-    fit = match_label(name, P)
-    if fit is None:
-        raise BenchConfigError(f"pattern does not fit the {name!r} algorithm")
-    family, fields = fit
-    return lambda A: family.contains(A, *fields)
 
 
 def cmd_check(args) -> int:
@@ -59,7 +46,7 @@ def cmd_check(args) -> int:
     else:
         if args.bounds:
             print(f"patcon: warning: --bounds is ignored with --algo {args.algo}", file=sys.stderr)
-        result = _forced_runner(args.algo, P)(A)
+        result = decider(args.algo, P)(A)
         label = args.algo
     print(f"{'CONTAINS' if result else 'AVOIDS'} {label}")
     return 0 if result else 1
@@ -139,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a matrix contains a pattern")
     p.add_argument("--matrix", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--algo", default="auto", choices=ALGO_CHOICES)
+    p.add_argument("--algo", default="auto", choices=ALGOS)
     p.add_argument("--bounds", default=None, help="extremal cache file feeding the ones prefilter")
     p.set_defaults(func=cmd_check)
 

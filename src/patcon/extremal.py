@@ -41,7 +41,7 @@ budget, shared with the strip searches, turns runaway searches into an error.
 
 from __future__ import annotations
 
-from .matrix import BitMatrix, Frozen, count_ones, parse_matrix, serialize
+from .matrix import BitMatrix, Frozen, count_ones, decimal_pair, parse_matrix, serialize
 from .naive import contains_naive, copies_through
 from .fast import dispatch
 
@@ -193,8 +193,8 @@ def ex_table(n_max: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET):
 def save_cache(records, path):
     """Write records of one pattern to the cache text format."""
     patterns = {rec.pattern for rec in records}
-    if len(patterns) != 1:
-        raise ValueError("a cache file holds the records of exactly one pattern")
+    if len(patterns) != 1 or len({rec.n for rec in records}) < len(records):
+        raise ValueError("a cache file holds the records of exactly one pattern, one per n")
     blocks = [f"pattern\n{serialize(patterns.pop())}"]
     for rec in records:
         blocks.append(f"{rec.n} {rec.value}\n{serialize(rec.witness)}")
@@ -212,10 +212,12 @@ def _read_cache(path):
     pattern = parse_matrix("\n".join(blocks[0][1:]))
     out = []
     for lines in blocks[1:]:
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError(f"bad cache header line: {lines[0]!r}")
-        n, value = int(head[0]), int(head[1])
+        try:
+            n, value = decimal_pair(lines[0].split(), lines[0])
+        except ValueError:
+            raise ValueError(f"bad cache header line: {lines[0]!r}") from None
+        if any(n == m for m, _, _ in out):
+            raise ValueError(f"second record for n={n} in cache file {path}")
         witness = parse_matrix("\n".join(lines[1:]))
         if not verify_record(ExtremalRecord(n, pattern, value, witness)):
             raise ValueError(
@@ -238,6 +240,8 @@ def load_cache(path):
 def bounds_from_cache(path, P: BitMatrix):
     """Build the (n, pattern) -> bound map dispatch expects from a cache file.
 
+    A verified witness proves only ex(n, P) >= value; the prefilter's ex(n, P) <= value is
+    trusted, so a value lowered below ex(n, P) makes ``check`` call an avoider CONTAINS.
     Raises ValueError when the file was written for a pattern other than P.
     """
     pattern, records = _read_cache(path)

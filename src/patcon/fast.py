@@ -26,13 +26,13 @@ print, under the same labels.
 
 ``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
 ``matrix.py`` to its route label, its ``contains_*`` kernel, the verdict of
-its paper scan and its dense avoider; ``dispatch``, the CLI's ``--algo``
-selectors and ``bench``'s timed runners and avoiders are all read from it,
-so a new family is one new entry. The entries look the kernels and scans up
-as module globals at call time. Every ``check`` imports this module, so it
-keeps to cheap imports: ``Family`` is a ``matrix.Frozen`` value rather than
-a dataclass, and ``BenchConfigError``, which ``check --algo`` raises too,
-is defined here and re-exported by ``bench``.
+its paper scan and its dense avoider; ``dispatch``, ``decider`` (the
+``--algo``/``--algos`` selectors) and ``bench``'s avoiders read it, so a new
+family is one new entry. The entries look the kernels and scans up as module
+globals at call time. Every ``check`` imports this module, so it keeps to
+cheap imports: ``Family`` is a ``matrix.Frozen`` value rather than a
+dataclass, and ``BenchConfigError``, which ``decider`` raises, is defined
+here and re-exported by ``bench``.
 
 ``dispatch`` first applies the ones-count prefilter when the caller supplies
 a trusted extremal bound; if that leaves the answer open, it classifies the
@@ -403,7 +403,7 @@ class UnsupportedPatternError(ValueError):
 
 
 class BenchConfigError(ValueError):
-    """Invalid benchmark configuration or label/pattern mismatch."""
+    """Invalid bench configuration, or a selector that is unknown or does not fit P."""
 
 
 def _full_rows(n: int, m: int) -> BitMatrix:
@@ -482,8 +482,9 @@ FAMILIES = {
     ),
 }
 
-# The scan labels, in table order; "naive" (the oracle) is not among them.
+# The scan labels in table order, and the selectors: those plus dispatch (auto) and the oracle.
 LABELS = tuple(dict.fromkeys(family.label for family in FAMILIES.values()))
+ALGOS = ("auto", "naive", *LABELS)
 
 
 def route_label(shape: PatternClass) -> str:
@@ -526,3 +527,23 @@ def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
     if family is None:
         return contains_naive(A, P)
     return family.contains(A, *shape.__dict__.values())
+
+
+def decider(algo: str, P: BitMatrix, full_scan: bool = False):
+    """The ``A -> bool`` that selector ``algo`` runs for P: BenchConfigError if unknown or unfit.
+
+    ``auto`` is ``dispatch`` without bounds, ``naive`` the oracle, and a scan
+    label the family ``match_label`` fits: its kernel, or its paper scan with ``full_scan``.
+    """
+    if algo == "auto":
+        return lambda A: dispatch(A, P)
+    if algo == "naive":
+        return lambda A: contains_naive(A, P)
+    if algo not in LABELS:
+        raise BenchConfigError(f"unknown algorithm label {algo!r}")
+    fit = match_label(algo, P)
+    if fit is None:
+        raise BenchConfigError(f"pattern does not fit the {algo!r} algorithm")
+    family, fields = fit
+    run = family.scan if full_scan else family.contains
+    return lambda A: run(A, *fields)

@@ -319,6 +319,14 @@ def parse_matrix(text: str) -> BitMatrix:
     return _parse_dense(content)
 
 
+def decimal_pair(fields, shown: str) -> tuple:
+    """Two fields of ASCII decimal digits as ints; int() alone takes '+2', '1_0', '\u0663'."""
+    a, b = fields
+    if (a + b).isascii() and (a + b).isdigit():
+        return int(a), int(b)
+    raise ValueError(f"{shown!r} is not two decimal numbers")
+
+
 def _parse_dense(content) -> BitMatrix:
     width = len(content[0])
     # Faults are reported row by row: a bad character in a row above the first ragged one wins.
@@ -342,13 +350,8 @@ def _parse_sparse(content) -> BitMatrix:
     header = content[0].split()
     if len(header) != 3:
         raise MatrixFormatError("sparse header must be 'sparse R C'")
-    # int() alone would also take '+2', '1_0' and non-ASCII digits; it still
-    # refuses a number too long to convert.
-    digits = header[1] + header[2]
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"{' '.join(header[1:])!r} is not two decimal numbers")
-        rows, cols = int(header[1]), int(header[2])
+        rows, cols = decimal_pair(header[1:], " ".join(header[1:]))
     except ValueError as exc:
         raise MatrixFormatError(f"bad sparse dimensions: {exc}") from None
     if rows < 1 or cols < 1:
@@ -362,11 +365,8 @@ def _parse_sparse(content) -> BitMatrix:
         parts = ln.split()
         if len(parts) != 2:
             raise MatrixFormatError(f"sparse entry must be 'r c', got {ln!r}")
-        digits = parts[0] + parts[1]
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"{ln!r} is not two decimal numbers")
-            r, c = int(parts[0]), int(parts[1])
+            r, c = decimal_pair(parts, ln)
         except ValueError as exc:
             raise MatrixFormatError(f"bad sparse coordinate: {exc}") from None
         if not (1 <= r <= rows and 1 <= c <= cols):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from patcon import fast
-from patcon.bench import _runner_for
 from patcon import (
     BenchConfigError,
     UnsupportedPatternError,
@@ -228,5 +227,5 @@ class TestRunnerFor:
         monkeypatch.setattr(fast, scan, recording)
         monkeypatch.setattr(fast, kernel, unexpected)
         A = gen_random(16, 0.5, 3)
-        assert _runner_for(label, P)(A) == contains_naive(A, P)
+        assert fast.decider(label, P, full_scan=True)(A) == contains_naive(A, P)
         assert calls

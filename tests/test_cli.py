@@ -22,6 +22,7 @@ from patcon import (
     tuple_identity,
     zeros,
 )
+from patcon import cli
 from patcon.cli import main
 
 from helpers import random_matrix
@@ -149,6 +150,45 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("patcon: error: bad sparse dimensions")
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ("sparse 2 2\n1\n", "patcon: error: sparse entry must be 'r c'"),
+            ("sparse 0 2\n", "patcon: error: sparse dimensions must be positive"),
+        ],
+    )
+    def test_bad_sparse_file_exit_two(self, tmp_path, files, capsys, text, prefix):
+        a = tmp_path / "a.txt"
+        a.write_text(text)
+        p = files("p.txt", all_ones(1, 1))
+        assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "block, prefix",
+        [
+            # without the check, 3 ones > 2 would print CONTAINS for an avoider of J2
+            ("2 2\n10\n01\n", "patcon: error: second record for n=2"),
+            ("2\n11\n10\n", "patcon: error: bad cache header line"),
+        ],
+    )
+    def test_bad_bounds_cache_exit_two(self, files, tmp_path, capsys, block, prefix):
+        p = files("p.txt", all_ones(2, 2))
+        a = files("a.txt", parse_matrix("11\n10\n"))
+        cache = tmp_path / "c.txt"
+        assert main(["extremal", "--pattern", p, "--n-max", "2",
+                     "--cache-out", str(cache)]) == 0
+        with open(cache, "a") as fh:
+            fh.write("\n" + block)
+        capsys.readouterr()
+        assert main(["check", "--matrix", a, "--pattern", p, "--bounds", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert main(["check", "--matrix", a, "--pattern", p]) == 1
 
     def test_missing_bounds_file_warns(self, files, capsys):
         a = files("a.txt", identity(3))
@@ -429,6 +469,16 @@ class TestExitContract:
         for argv in invocations:
             assert main(argv) in {0, 1, 2, 3}
             capsys.readouterr()
+
+    def test_unexpected_exception_is_an_internal_error(self, files, capsys, monkeypatch):
+        def broken(P):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "classify_pattern", broken)
+        assert main(["classify", "--pattern", files("p.txt", identity(2))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "patcon: internal error: boom\n"
 
 
 class TestStartupImports:

@@ -304,3 +304,29 @@ class TestCacheFile:
         path.write_text(f"pattern\n10\n01\n\n{record}")
         with pytest.raises(ValueError, match="n=3"):
             load_cache(path)
+
+    # int() reads each of these as n=2, value=3; the format has ASCII decimal digits only
+    @pytest.mark.parametrize("line", ["+2 3", "0_2 3", "\u0662 \u0663", "2", "2 3 4"])
+    def test_non_decimal_record_line_rejected(self, tmp_path, line):
+        path = tmp_path / "cache.txt"
+        path.write_text(f"pattern\n11\n11\n\n{line}\n11\n10\n")
+        with pytest.raises(ValueError, match="bad cache header line"):
+            load_cache(path)
+
+    def test_second_record_for_one_n_rejected(self, tmp_path):
+        # ex(2, J2) = 3; a lower second record for n = 2 would let the
+        # prefilter call a 3-ones avoider of J2 a container
+        P = all_ones(2, 2)
+        path = tmp_path / "cache.txt"
+        save_cache(ex_table(2, P), path)
+        with open(path, "a") as fh:
+            fh.write("\n2 2\n10\n01\n")
+        with pytest.raises(ValueError, match="second record for n=2"):
+            load_cache(path)
+        with pytest.raises(ValueError, match="second record for n=2"):
+            bounds_from_cache(path, P)
+
+    def test_two_records_for_one_n_not_saved(self, tmp_path):
+        records = [ex_exact(2, identity(2)), ex_exact(2, identity(2))]
+        with pytest.raises(ValueError):
+            save_cache(records, tmp_path / "cache.txt")

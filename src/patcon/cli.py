@@ -67,7 +67,7 @@ def cmd_extremal(args) -> int:
         raise ValueError("n-max must be positive")
     if budget < 1:
         raise ValueError("node-budget must be positive")
-    ns = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
+    ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0
     for n in ns:
@@ -167,6 +167,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # MatrixFormatError and BenchConfigError included
         print(f"patcon: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("patcon: error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:  # total exit contract: anything unexpected is an error
         print(f"patcon: internal error: {exc}", file=sys.stderr)

@@ -79,6 +79,8 @@ def _search(rows: int, n: int, P: BitMatrix, strip, nodes: int, node_budget: int
     Needs strip[m] = ex(m x n, P) for m < rows; ``nodes`` counts on from those
     spent before. ``cuts``: branches cut by containment, bound and symmetry.
     """
+    if nodes + n >= node_budget:  # row 0 is never cut, so n + 1 nodes: raise before allocating
+        raise SearchBudgetExceeded(n, node_budget)
     total = rows * n
     through = copies_through(P, rows)
     sort = all(P.cells)  # J_{k x l}: search doubly sorted matrices only

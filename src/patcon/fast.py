@@ -184,19 +184,13 @@ def max_lshape_height(A: BitMatrix, w: int) -> int:
         return 0
     counters = [0] * A.cols
     for r in range(A.rows, 0, -1):
-        rowb = A.row(r)
-        xs = [i for i, v in enumerate(rowb) if v]
-        q = len(xs)
-        if q >= w:
-            for x in xs[: q - w + 1]:
+        xs = [i for i, v in enumerate(A.row(r)) if v]
+        starts = max(len(xs) - w + 1, 0)  # the ones with at least w-1 ones to their right
+        for x in xs[:starts]:
+            counters[x] += 1
+        for x in xs[starts:]:
+            if counters[x]:
                 counters[x] += 1
-            for x in xs[q - w + 1 :]:
-                if counters[x]:
-                    counters[x] += 1
-        else:
-            for x in xs:
-                if counters[x]:
-                    counters[x] += 1
     return max(counters)
 
 
@@ -266,38 +260,21 @@ def _cross_tally_scan(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
     """The paper's cross scan: left/right/up/down tallies around every 1-entry, row-major.
 
     Same verdict as ``contains_cross``; bench times it as the cross family's
-    full scan. The ranks are streamed with per-column counters instead of
-    materializing the coordinate list.
+    full scan. A 1's left and right tallies are its index in its row's list
+    of ones and the count after it; its up tally is streamed with
+    per-column counters, and its down tally is the rest of its column total.
     """
-    row_totals = [0] * (A.rows + 1)
+    col_totals = [sum(A.column(x)) for x in range(1, A.cols + 1)]
+    col_seen = [0] * A.cols
     for r in range(1, A.rows + 1):
-        row_totals[r] = sum(A.row(r))
-    col_totals = [0] * (A.cols + 1)
-    for cc in range(1, A.cols + 1):
-        col_totals[cc] = sum(A.column(cc))
-    need_left = d - 1
-    need_right = b - d
-    need_up = c - 1
-    need_down = a - c
-    col_seen = [0] * (A.cols + 1)
-    for r in range(1, A.rows + 1):
-        rowb = A.row(r)
-        seen_in_row = 0
-        rt = row_totals[r]
-        for i, v in enumerate(rowb):
-            if not v:
-                continue
-            cc = i + 1
-            up = col_seen[cc]
-            if (
-                seen_in_row >= need_left
-                and rt - seen_in_row - 1 >= need_right
-                and up >= need_up
-                and col_totals[cc] - up - 1 >= need_down
-            ):
+        xs = [i for i, v in enumerate(A.row(r)) if v]
+        q = len(xs)
+        for left, x in enumerate(xs):
+            up = col_seen[x]
+            if (left >= d - 1 and q - left - 1 >= b - d
+                    and up >= c - 1 and col_totals[x] - up - 1 >= a - c):
                 return True
-            seen_in_row += 1
-            col_seen[cc] += 1
+            col_seen[x] = up + 1
     return False
 
 
@@ -496,18 +473,13 @@ def route_label(shape: PatternClass) -> str:
 def match_label(label: str, P: BitMatrix):
     """(family, fields) of the first family under ``label`` whose factory rebuilds P, else None.
 
-    The fit goes through every family of the label, not by canonical
-    priority: ``identity`` fits the 1x1 pattern although it classifies as a
-    column of ones, and ``column`` fits a row of ones, whose family shares
-    that label.
+    ``matrix.fit`` runs on the label's shapes alone, so it builds only their
+    factories, and not by canonical priority: ``identity`` fits the 1x1
+    pattern although it classifies as a column of ones, and ``column`` fits
+    a row of ones, whose family shares that label.
     """
-    for shape, fields_of, build in PATTERN_SHAPES:
-        family = FAMILIES[shape]
-        if family.label == label:
-            fields = fit(fields_of, build, P)
-            if fields is not None:
-                return family, fields
-    return None
+    found = fit(P, [entry for entry in PATTERN_SHAPES if FAMILIES[entry[0]].label == label])
+    return (FAMILIES[found[0]], found[1]) if found else None
 
 
 def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:

@@ -10,13 +10,15 @@ Kernels that work on whole rows or columns read them as Python ints from
 containment scans. A family's shape is described once, by its factory
 (``all_ones``, ``identity``, ``lshape``, ...): each entry of
 ``PATTERN_SHAPES`` reads the only fields P could have from its size (for a
-cross, its first full row and column), and ``fit`` accepts them when the
-factory rebuilds P. Families overlap (a single 1 is a column of ones, an
-identity, a cross, ...), so the first entry that fits, in the priority
-column-ones, row-ones, all-ones, identity, tuple identity, L-shape, cross,
-names P's one canonical class; ``General`` when none fits. Small patterns
-are classified once and then served from a bounded cache. What each family
-is decided, timed and avoided with lives in the family table of ``fast.py``.
+cross, its first full row and column), and ``fit`` is the one loop that
+finds the first entry whose factory rebuilds P. Families overlap (a single 1
+is a column of ones, an identity, a cross, ...), so the first entry that
+fits, in the priority column-ones, row-ones, all-ones, identity, tuple
+identity, L-shape, cross, names P's one canonical class; ``General`` when
+none fits. ``fast.match_label`` runs ``fit`` on one label's entries. Small
+patterns are classified once and then served from a bounded cache. What each
+family is decided, timed and avoided with lives in the family table of
+``fast.py``.
 
 ``BitMatrix``, the pattern classes and the package's other records are
 ``Frozen`` values: plain classes with the equality, hashing, repr and
@@ -260,10 +262,16 @@ PATTERN_SHAPES = (
 )
 
 
-def fit(fields_of, build, P: BitMatrix):
-    """The fields ``fields_of`` reads from P when ``build`` rebuilds P from them, else None."""
-    fields = fields_of(P)
-    return fields if fields is not None and build(*fields) == P else None
+def fit(P: BitMatrix, shapes=PATTERN_SHAPES):
+    """(class, fields) of the first of ``shapes`` whose factory rebuilds P, else None.
+
+    ``_classify`` passes every shape, ``fast.match_label`` only those of one label.
+    """
+    for shape, fields_of, build in shapes:
+        fields = fields_of(P)
+        if fields is not None and build(*fields) == P:
+            return shape, fields
+    return None
 
 
 CLASSIFY_CACHE_CELLS = 1024  # larger patterns are classified afresh, not kept alive
@@ -282,11 +290,8 @@ def classify_pattern(P: BitMatrix) -> PatternClass:
 
 
 def _classify(P: BitMatrix) -> PatternClass:
-    for shape, fields_of, build in PATTERN_SHAPES:
-        fields = fit(fields_of, build, P)
-        if fields is not None:
-            return shape(*fields)
-    return General()
+    found = fit(P)
+    return found[0](*found[1]) if found else General()
 
 
 @lru_cache(maxsize=4096)

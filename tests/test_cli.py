@@ -317,6 +317,22 @@ class TestExtremal:
         assert captured.out == "ex(32,P) = 0\n"
         assert "internal error" not in captured.err
 
+    def test_huge_n_max_stops_at_the_budget(self, files, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        argv = ["extremal", "--pattern", p, "--n-max", str(10**15), "--node-budget", "50"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "ex(1,P) = 1\nex(2,P) = 3\n"
+        assert captured.err.endswith(
+            "ex(3,P) inconclusive: node budget 50 exceeded while searching n=3\n")
+
+    def test_huge_n_is_inconclusive(self, files, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        assert main(["extremal", "--pattern", p, "--n", str(10**15)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inconclusive" in captured.err and "internal error" not in captured.err
+
     def test_search_nodes_reported_on_stderr(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))
         assert main(["extremal", "--pattern", p, "--n", "3", "--node-budget", "1000"]) == 0
@@ -471,14 +487,19 @@ class TestExitContract:
             capsys.readouterr()
 
     def test_unexpected_exception_is_an_internal_error(self, files, capsys, monkeypatch):
-        def broken(P):
-            raise RuntimeError("boom")
+        p = files("p.txt", identity(2))
+        for exc, err in [
+            (RuntimeError("boom"), "patcon: internal error: boom\n"),
+            (MemoryError(), "patcon: error: out of memory\n"),
+        ]:
+            def broken(P):
+                raise exc
 
-        monkeypatch.setattr(cli, "classify_pattern", broken)
-        assert main(["classify", "--pattern", files("p.txt", identity(2))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "patcon: internal error: boom\n"
+            monkeypatch.setattr(cli, "classify_pattern", broken)
+            assert main(["classify", "--pattern", p]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == err
 
 
 class TestStartupImports:
@@ -504,6 +525,12 @@ class TestStartupImports:
 
     def test_import_patcon_loads_no_submodule(self):
         assert {m for m in self.loaded("import patcon") if m.startswith("patcon.")} == set()
+
+    def test_submodule_attribute_imports_only_that_module(self):
+        code = "import patcon, types; assert isinstance(patcon.extremal, types.ModuleType)"
+        loaded = self.loaded(code)
+        assert "patcon.extremal" in loaded
+        assert "patcon.bench" not in loaded
 
     def test_import_cli_skips_extremal_and_bench(self):
         loaded = self.loaded("import patcon.cli")

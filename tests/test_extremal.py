@@ -211,6 +211,11 @@ class TestErrors:
         with pytest.raises(SearchBudgetExceeded):
             ex_exact(4, all_ones(2, 2), node_budget=nodes - 1)
 
+    def test_huge_n_runs_out_of_budget_before_allocating(self):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            ex_exact(10**15, all_ones(2, 2), node_budget=5)
+        assert (info.value.n, info.value.budget) == (10**15, 5)
+
     @pytest.mark.parametrize("phase", ["strip", "final"])
     def test_budget_names_the_callers_search(self, phase):
         # The strips are searched first: budget 1 runs out in the m = 3 strip

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patcon import (
+    BenchConfigError,
     BitMatrix,
     PrefilterResult,
     all_ones,
+    bench_compare,
     contains_allones,
     contains_column_ones,
     contains_cross,
@@ -22,6 +24,7 @@ from patcon import (
     cross,
     dispatch,
     ex_exact,
+    ex_table,
     identity,
     lshape,
     max_allones_rows,
@@ -485,3 +488,31 @@ class TestReductions:
             h = rng.randint(1, 4)
             w = rng.randint(1, 4)
             assert contains_lshape(A, h, w) == contains_cross(A, h, w, h, 1)
+
+
+A3 = identity(3)
+
+# (call, error class, message) for every argument guard of the public functions
+GUARDS = [
+    (lambda: contains_identity(A3, 0), ValueError, "k must be positive"),
+    (lambda: contains_tuple_identity(A3, 0, 1), ValueError, "j and k must be positive"),
+    (lambda: max_tuple_identity_width(A3, 0), ValueError, "j must be positive"),
+    (lambda: contains_lshape(A3, 0, 1), ValueError, "h and w must be positive"),
+    (lambda: max_lshape_height(A3, 0), ValueError, "w must be positive"),
+    (lambda: contains_allones(A3, 1, 0), ValueError, "k and l must be positive"),
+    (lambda: max_allones_rows(A3, 0), ValueError, "t must be positive"),
+    (lambda: BitMatrix.from_rows([]), ValueError, "need at least one row"),
+    (lambda: BitMatrix.from_rows([[1], [1, 0]]), ValueError, "rows must all have the same length"),
+    (lambda: tuple_identity(0, 1), ValueError, "tuple identity parameters must be positive"),
+    (lambda: lshape(1, 0), ValueError, "lshape dimensions must be positive"),
+    (lambda: gen_avoider(0, identity(2)), ValueError, "n must be positive"),
+    (lambda: ex_table(0, identity(2)), ValueError, "n_max must be positive"),
+    (lambda: bench_compare(["identity"], identity(2), [4, 8], 1.5, 1, 3), BenchConfigError,
+     r"density must lie in \[0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_argument_guard_raises(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -59,7 +59,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    from .extremal import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, ex_exact, save_cache
+    from .extremal import (
+        DEFAULT_NODE_BUDGET,
+        SearchBudgetExceeded,
+        ex_exact,
+        save_cache,
+        upper_bound,
+    )
 
     P = _read_matrix(args.pattern)
     budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
@@ -70,6 +76,7 @@ def cmd_extremal(args) -> int:
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0
+    bound = upper_bound(P)
     for n in ns:
         try:
             rec = ex_exact(n, P, node_budget=budget)
@@ -86,6 +93,11 @@ def cmd_extremal(args) -> int:
         print(f"ex({n},P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
               f"{rec.cut_symmetry} by symmetry; strip table ex(m x {n},P), m < {n}: "
               f"{' '.join(map(str, rec.strip)) or 'none'}", file=sys.stderr)
+        if rec.closed:
+            # A strip is searched exactly when P fits in it, and then holds fewer than m*n ones.
+            searched = 1 + sum(v < m * n for m, v in enumerate(rec.strip, 1))
+            print(f"ex({n},P): {rec.closed} of {searched} searches closed at a proven upper "
+                  f"bound ({bound(n, n)} for the n x n search)", file=sys.stderr)
         records.append(rec)
     if args.witness_out:
         os.makedirs(args.witness_out, exist_ok=True)

@@ -21,6 +21,13 @@ that cannot strictly beat the best so far, and the witness is doubly sorted,
 as swapping an out-of-order pair of its rows or columns would give a
 lexicographically greater avoider with as many ones.
 
+Each search also stops at the first leaf whose ones reach ``upper_bound``,
+the ``bound`` of P's family in ``fast.FAMILIES`` (m*n when P does not fit):
+a proven upper bound on the ones of any m x n avoider. The search keeps the
+first leaf with the most ones, so a leaf that reaches a proven bound is the
+witness the full search would return; only the nodes after it are saved. A
+leaf above the bound would disprove it and raises RuntimeError.
+
 Containment is decided incrementally. The search only extends avoiders, and
 a new 1 at (r, c) comes after every 1 already placed, so the extended matrix
 contains P exactly when some copy of P maps P's row-major last 1 onto
@@ -41,9 +48,19 @@ budget, shared with the strip searches, turns runaway searches into an error.
 
 from __future__ import annotations
 
-from .matrix import BitMatrix, Frozen, count_ones, decimal_pair, parse_matrix, serialize
+import sys
+
+from .matrix import (
+    BitMatrix,
+    Frozen,
+    classify_pattern,
+    count_ones,
+    decimal_pair,
+    parse_matrix,
+    serialize,
+)
 from .naive import contains_naive, copies_through
-from .fast import dispatch
+from .fast import FAMILIES, Family, dispatch
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -64,20 +81,36 @@ class ExtremalRecord(Frozen):
     ``pattern``; no n x n matrix with more ones avoids it. ``nodes`` is the
     number of search nodes ``ex_exact`` visited to prove it (0 when the
     record did not come from a search), the searches for ``strip``, ex(m x n,
-    P) for m < n, included; ``cut_*`` count the branches each rule cut.
+    P) for m < n, included; ``cut_*`` count the branches each rule cut, and
+    ``closed`` the searches, strips included, whose value reached their
+    ``upper_bound``.
     """
 
     _fields = ("n", "pattern", "value", "witness", "nodes", "cut_contained", "cut_bound",
-               "cut_symmetry", "strip")
-    nodes = cut_contained = cut_bound = cut_symmetry = 0  # the defaults
+               "cut_symmetry", "strip", "closed")
+    nodes = cut_contained = cut_bound = cut_symmetry = closed = 0  # the defaults
     strip = ()
 
 
-def _search(rows: int, n: int, P: BitMatrix, strip, nodes: int, node_budget: int) -> tuple:
+def upper_bound(P: BitMatrix):
+    """The function (m, n) -> a proven upper bound on the ones of an m x n avoider of P.
+
+    That is P's family's ``bound`` when P fits in m x n, else m*n; a pattern
+    outside every family has the default bound m*n.
+    """
+    shape = classify_pattern(P)
+    bound = FAMILIES.get(type(shape), Family).bound
+    fields = tuple(vars(shape).values())
+    return lambda m, n: m * n if m < P.rows or n < P.cols else bound(m, n, *fields)
+
+
+def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,
+            node_budget: int) -> tuple:
     """(value, cells, nodes, cuts) of the first maximum rows x n avoider of P in 1-before-0 order.
 
-    Needs strip[m] = ex(m x n, P) for m < rows; ``nodes`` counts on from those
-    spent before. ``cuts``: branches cut by containment, bound and symmetry.
+    Needs strip[m] = ex(m x n, P) for m < rows and a proven upper bound
+    ``cap`` on the value, at which the search stops; ``nodes`` counts on from
+    those spent before. ``cuts``: branches cut by containment, bound and symmetry.
     """
     if nodes + n >= node_budget:  # row 0 is never cut, so n + 1 nodes: raise before allocating
         raise SearchBudgetExceeded(n, node_budget)
@@ -99,6 +132,11 @@ def _search(rows: int, n: int, P: BitMatrix, strip, nodes: int, node_budget: int
             if ones > best_value:
                 best_value = ones
                 best_cells = bytes(cells)
+                if ones >= cap:  # no leaf after this one can have more ones
+                    if ones > cap:
+                        raise RuntimeError(
+                            f"a {rows}x{n} avoider with {ones} ones disproves the bound {cap}")
+                    break
         else:
             r, c = divmod(idx, n)
             if not c:
@@ -149,19 +187,22 @@ def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> Ex
     if count_ones(P) == 0:
         raise ValueError("pattern has no ones; every matrix contains it")
 
-    nodes, cuts = 0, (0, 0, 0)
+    bound = upper_bound(P)
+    nodes, cuts, closed = 0, (0, 0, 0), 0
     strip = [0]  # strip[m] = ex(m x n, P), for m < n
     for m in range(1, n + 1):  # the strips, then the n x n search itself
         if m < n and (m < P.rows or n < P.cols):
             value = m * n  # P does not fit, so the strip is all ones
         else:
-            value, cells, nodes, more = _search(m, n, P, strip, nodes, node_budget)
+            cap = bound(m, n)
+            value, cells, nodes, more = _search(m, n, P, strip, cap, nodes, node_budget)
             cuts = tuple(map(sum, zip(cuts, more)))
+            closed += value == cap
         strip.append(value)
     witness = BitMatrix(n, n, cells)
     if dispatch(witness, P):  # cross-check of the incremental test
         raise RuntimeError(f"extremal search for n={n} produced a witness containing the pattern")
-    return ExtremalRecord(n, P, value, witness, nodes, *cuts, tuple(strip[1:n]))
+    return ExtremalRecord(n, P, value, witness, nodes, *cuts, tuple(strip[1:n]), closed)
 
 
 def verify_record(rec: ExtremalRecord) -> bool:
@@ -242,11 +283,20 @@ def load_cache(path):
 def bounds_from_cache(path, P: BitMatrix):
     """Build the (n, pattern) -> bound map dispatch expects from a cache file.
 
-    A verified witness proves only ex(n, P) >= value; the prefilter's ex(n, P) <= value is
-    trusted, so a value lowered below ex(n, P) makes ``check`` call an avoider CONTAINS.
-    Raises ValueError when the file was written for a pattern other than P.
+    A verified witness proves only ex(n, P) >= value, so a record is kept
+    only when its value is also ``upper_bound(P)(n, n)``: then ex(n, P) is
+    proven from both sides. Each record left out is named in a warning on
+    stderr. Raises ValueError when the file was written for a pattern other than P.
     """
     pattern, records = _read_cache(path)
     if pattern != P:
         raise ValueError(f"bounds cache {path} was written for a different pattern")
-    return {(n, P): value for n, value, _ in records}
+    bound = upper_bound(P)
+    bounds = {}
+    for n, value, _ in records:
+        if value == bound(n, n):
+            bounds[n, P] = value
+        else:
+            print(f"patcon: warning: bounds cache value {value} for n={n} is not a proven "
+                  f"upper bound; prefilter off for n={n}", file=sys.stderr)
+    return bounds

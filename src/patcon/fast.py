@@ -26,16 +26,18 @@ print, under the same labels.
 
 ``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
 ``matrix.py`` to its route label, its ``contains_*`` kernel, the verdict of
-its paper scan and its dense avoider; ``dispatch``, ``decider`` (the
-``--algo``/``--algos`` selectors) and ``bench``'s avoiders read it, so a new
-family is one new entry. The entries look the kernels and scans up as module
-globals at call time. Every ``check`` imports this module, so it keeps to
-cheap imports: ``Family`` is a ``matrix.Frozen`` value rather than a
-dataclass, and ``BenchConfigError``, which ``decider`` raises, is defined
-here and re-exported by ``bench``.
+its paper scan, its dense avoider and a proven upper bound on the ones of an
+m x n avoider, with its proof beside it; ``dispatch``, ``decider`` (the
+``--algo``/``--algos`` selectors), ``bench``'s avoiders and the extremal
+search (which stops at the bound) read it, so a new family is one new entry.
+The entries look the kernels and scans up as module globals at call time.
+Every ``check`` imports this module, so it keeps to cheap imports:
+``Family`` is a ``matrix.Frozen`` value rather than a dataclass, and
+``BenchConfigError``, which ``decider`` raises, is defined here and
+re-exported by ``bench``.
 
 ``dispatch`` first applies the ones-count prefilter when the caller supplies
-a trusted extremal bound; if that leaves the answer open, it classifies the
+a proven extremal bound; if that leaves the answer open, it classifies the
 pattern, routes to its family's kernel, or falls back to the oracle.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations, repeat
+from math import isqrt
 
 from .matrix import (
     PATTERN_SHAPES,
@@ -399,16 +402,25 @@ def _corner(n: int, m: int) -> BitMatrix:
     return BitMatrix(n, n, b"\x01" * (m * n) + (b"\x01" * m + bytes(n - m)) * (n - m))
 
 
+def _pair_bound(a: int, b: int) -> int:
+    """Largest e with e(e - b) <= b a(a - 1): the root of e^2 - b e - b a(a-1), floored exactly."""
+    return (b + isqrt(b * b + 4 * b * a * (a - 1))) // 2
+
+
 class Family(Frozen):
-    """A pattern family; its callables take the class's fields after their first argument.
+    """A pattern family; its callables take the class's fields after their first arguments.
 
     ``label`` names the route in CLI output and in the ``--algo``/``--algos``
     selectors; ``contains(A, ...)`` is the kernel dispatch runs, ``scan(A,
-    ...)`` the same verdict from the paper's full scan that bench times, and
-    ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern.
+    ...)`` the same verdict from the paper's full scan that bench times,
+    ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern, and
+    ``bound(m, n, ...)`` a proven upper bound on the ones of an m x n matrix
+    avoiding it, for m and n at least the pattern's rows and columns (the
+    extremal search stops when it reaches it). The default bound is m*n.
     """
 
-    _fields = ("label", "contains", "scan", "avoider")
+    _fields = ("label", "contains", "scan", "avoider", "bound")
+    bound = staticmethod(lambda m, n, *fields: m * n)
 
 
 FAMILIES = {
@@ -417,18 +429,25 @@ FAMILIES = {
         contains=lambda A, k: contains_column_ones(A, k),
         scan=lambda A, k: max_column_ones(A) >= k,
         avoider=lambda n, k: _full_rows(n, k - 1),
+        bound=lambda m, n, k: (k - 1) * n,  # each column holds at most k-1 ones
     ),
     RowOnes: Family(
         "column",
         contains=lambda A, w: contains_lshape(A, 1, w),
         scan=lambda A, w: max_column_ones(transpose(A)) >= w,
         avoider=lambda n, w: transpose(_full_rows(n, w - 1)),
+        bound=lambda m, n, w: (w - 1) * m,  # each row holds at most w-1 ones
     ),
     Identity: Family(
         "identity",
         contains=lambda A, k: contains_identity(A, k),
         scan=lambda A, k: max_identity(A) >= k,
         avoider=lambda n, k: _corner(n, k - 1),
+        # Label each 1 with the length t < k of the longest increasing chain
+        # ending at it (Mirsky). No two 1s labelled t form an increasing pair
+        # and none lies in the first t-1 rows or columns, so each of the
+        # m+n-2t+1 diagonals of the corner left holds at most one of them.
+        bound=lambda m, n, k: (k - 1) * (m + n - k + 1),
     ),
     TupleIdentity: Family(
         "tuple-identity",
@@ -456,6 +475,12 @@ FAMILIES = {
             max_allones_rows(A, l) >= k if l <= k else max_allones_rows(transpose(A), k) >= l
         ),
         avoider=lambda n, k, l: _full_rows(n, k - 1),
+        # J2 (Reiman 1958): two rows share at most one column, so the column
+        # sums d_j of e ones satisfy sum C(d_j, 2) <= C(m, 2), and by Jensen
+        # e(e - n) <= n m(m - 1); the same holds with rows and columns swapped.
+        bound=lambda m, n, k, l: (
+            min(_pair_bound(m, n), _pair_bound(n, m)) if k == l == 2 else m * n
+        ),
     ),
 }
 
@@ -485,9 +510,10 @@ def match_label(label: str, P: BitMatrix):
 def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
     """Decide containment via the cheapest applicable scan.
 
-    ``bounds`` optionally maps (n, pattern) to a trusted extremal bound for
-    n x n matrices; when a bound for (A.rows, P) is present and A is square,
-    the ones-count prefilter may settle the answer before any scan runs.
+    ``bounds`` optionally maps (n, pattern) to a proven extremal bound for
+    n x n matrices (``extremal.bounds_from_cache`` builds one); when a bound
+    for (A.rows, P) is present and A is square, the ones-count prefilter may
+    settle the answer before any scan runs.
     Always agrees with contains_naive.
     """
     if bounds and A.rows == A.cols:

@@ -117,6 +117,23 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out.startswith("CONTAINS")
 
+    def test_lowered_bounds_cache_value_is_not_trusted(self, files, tmp_path, capsys):
+        # ex(2, J2) = 3, and the 2 x 2 record lowered to a 2-ones avoider still
+        # verifies; its value is not the proven bound 3, so 11/10 is scanned
+        p = files("p.txt", all_ones(2, 2))
+        a = files("a.txt", parse_matrix("11\n10\n"))
+        cache = tmp_path / "cache.txt"
+        assert main(["extremal", "--pattern", p, "--n-max", "2", "--cache-out", str(cache)]) == 0
+        capsys.readouterr()
+        text = cache.read_text()
+        assert "2 3\n11\n10\n" in text
+        cache.write_text(text.replace("2 3\n11\n10\n", "2 2\n10\n01\n"))
+        assert main(["check", "--matrix", a, "--pattern", p, "--bounds", str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "AVOIDS allones\n"
+        assert captured.err == ("patcon: warning: bounds cache value 2 for n=2 is not a proven "
+                                "upper bound; prefilter off for n=2\n")
+
     def test_bounds_cache_of_another_pattern_exit_two(self, files, tmp_path, capsys):
         # 6 ones exceed ex(3, I2) = 5 but not ex(3, J2) = 6: the matrix avoids J2
         p_i2 = files("i2.txt", identity(2))
@@ -322,9 +339,9 @@ class TestExtremal:
         argv = ["extremal", "--pattern", p, "--n-max", str(10**15), "--node-budget", "50"]
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.out == "ex(1,P) = 1\nex(2,P) = 3\n"
+        assert captured.out == "ex(1,P) = 1\nex(2,P) = 3\nex(3,P) = 6\n"
         assert captured.err.endswith(
-            "ex(3,P) inconclusive: node budget 50 exceeded while searching n=3\n")
+            "ex(4,P) inconclusive: node budget 50 exceeded while searching n=4\n")
 
     def test_huge_n_is_inconclusive(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))
@@ -343,8 +360,25 @@ class TestExtremal:
             f"ex(3,P): {rec.nodes} search nodes, {rec.nodes / 10:.2f}% of the node budget\n"
             f"ex(3,P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
             f"{rec.cut_symmetry} by symmetry; strip table ex(m x 3,P), m < 3: 3 4\n"
+            "ex(3,P): 2 of 2 searches closed at a proven upper bound (6 for the n x n search)\n"
         )
-        assert (rec.nodes, rec.cut_contained, rec.cut_bound, rec.cut_symmetry) == (51, 6, 12, 11)
+        assert (rec.nodes, rec.cut_contained, rec.cut_bound, rec.cut_symmetry) == (35, 5, 2, 8)
+
+    def test_searches_closed_at_their_bound_reported_on_stderr(self, files, capsys):
+        # I3 fits the strips m = 3, 4 and the 5 x 5 search; each stops at
+        # (k-1)(m+n-k+1). G has no bound but 25, which no search reaches.
+        p = files("p.txt", identity(3))
+        assert main(["extremal", "--pattern", p, "--n", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ex(5,P) = 16\n"
+        assert captured.err.splitlines()[2:] == [
+            "ex(5,P): 3 of 3 searches closed at a proven upper bound (16 for the n x n search)"]
+        g = files("g.txt", parse_matrix("101\n011\n"))
+        assert main(["extremal", "--pattern", g, "--n", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ex(5,P) = 15\n"
+        assert len(captured.err.splitlines()) == 2
+        assert "closed" not in captured.err
 
     def test_n1_reports_an_empty_strip_table(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))

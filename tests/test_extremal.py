@@ -5,8 +5,12 @@ from itertools import combinations
 import pytest
 
 from patcon import (
+    AllOnes,
     BitMatrix,
+    ColumnOnes,
     ExtremalRecord,
+    Identity,
+    RowOnes,
     SearchBudgetExceeded,
     all_ones,
     bounds_from_cache,
@@ -25,6 +29,8 @@ from patcon import (
     verify_record,
     zeros,
 )
+from patcon.extremal import upper_bound
+from patcon.fast import FAMILIES, Family
 
 from helpers import all_patterns_up_to, ex_reference
 
@@ -112,14 +118,26 @@ class TestAgainstReferenceSearch:
         for P in (all_ones(2, 2), identity(3), G, lshape(2, 3), cross(3, 3, 2, 2)):
             assert_matches_reference(ex_exact(4, P), 4, P)
 
+    @pytest.mark.parametrize("n, P", [
+        (5, identity(2)), (5, identity(3)),
+        (4, all_ones(3, 1)), (4, all_ones(1, 3)), (4, all_ones(4, 1)), (4, all_ones(1, 4)),
+    ])
+    def test_searches_stopped_at_their_bound(self, n, P):
+        # These stop at their family's bound, which equals their closed form,
+        # so only the plain search, which has no bound, checks them.
+        rec = ex_exact(n, P)
+        assert rec.closed
+        assert_matches_reference(rec, n, P)
+
     def test_benchmark_pairs_frozen(self):
         # Values and witnesses of the plain search; node counts of this one,
         # strip tables included, all below the plain search's 725,913 /
         # 165,969 / 322,446 / 276,678. The counts fix the budget semantics too.
+        # J2, I3 and I2 stop where their searches reach the family's bound.
         cases = [
-            (5, all_ones(2, 2), 12, 1_103, "11110/10001/01001/00101/00011"),
-            (5, identity(3), 16, 101_867, "11111/11111/11000/11000/11000"),
-            (6, identity(2), 11, 138_535, "111111/100000/100000/100000/100000/100000"),
+            (5, all_ones(2, 2), 12, 373, "11110/10001/01001/00101/00011"),
+            (5, identity(3), 16, 63, "11111/11111/11000/11000/11000"),
+            (6, identity(2), 11, 125, "111111/100000/100000/100000/100000/100000"),
             (5, G, 15, 112_301, "11000/01111/11100/11010/11001"),
         ]
         for n, P, value, nodes, witness in cases:
@@ -134,10 +152,70 @@ class TestAgainstReferenceSearch:
         # one node more: the 1-row strip's leaf, or (1, 0), where the bound cuts.
         assert rec.nodes == 32 * 33
         # A 33x1 column fits in no strip, so no strip is searched and the one
-        # search dives 32 * 32 cells deep, then cuts each 0 branch on the way up.
+        # search dives 32 * 32 cells deep to its first leaf, which reaches the
+        # bound 32 * 32.
         rec = ex_exact(32, all_ones(33, 1))
-        assert (rec.value, rec.nodes) == (32 * 32, 2 * 32 * 32 + 1)
+        assert (rec.value, rec.nodes) == (32 * 32, 32 * 32 + 1)
         assert rec.strip == tuple(32 * m for m in range(1, 32))
+
+
+def with_bound(monkeypatch, cls, shift):
+    """Replace the bound of family ``cls`` in FAMILIES by that bound plus ``shift``."""
+    family = FAMILIES[cls]
+    bound = family.bound
+    monkeypatch.setitem(FAMILIES, cls, Family(**{
+        **vars(family), "bound": lambda m, n, *fields: bound(m, n, *fields) + shift}))
+
+
+class TestStoppingBound:
+    def test_raised_bound_keeps_value_and_witness(self, monkeypatch):
+        cases = [(4, identity(2)), (5, identity(3)), (5, all_ones(2, 2)), (4, all_ones(3, 1))]
+        expected = [ex_exact(n, P) for n, P in cases]
+        for cls in (Identity, AllOnes, ColumnOnes):
+            with_bound(monkeypatch, cls, 1)
+        for (n, P), rec in zip(cases, expected):
+            raised = ex_exact(n, P)
+            assert (raised.value, raised.witness) == (rec.value, rec.witness)
+            assert raised.nodes >= rec.nodes and raised.closed == 0
+        # A bound that is never reached stops nothing: the full search's nodes.
+        assert ex_exact(4, identity(2)).nodes == 1_082
+
+    def test_bound_below_a_leaf_raises(self, monkeypatch):
+        with_bound(monkeypatch, Identity, -1)
+        with pytest.raises(RuntimeError, match="disproves the bound"):
+            ex_exact(4, identity(2))
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("cls, P", [
+        (ColumnOnes, lambda k: all_ones(k, 1)),
+        (RowOnes, lambda k: all_ones(1, k)),
+        (Identity, identity),
+    ])
+    def test_bound_is_tight_for_the_family_avoider(self, cls, P):
+        family = FAMILIES[cls]
+        for k in (2, 3, 4):
+            for n in range(k, 9):
+                avoider = family.avoider(n, k)
+                assert not contains_naive(avoider, P(k)), (k, n)
+                assert count_ones(avoider) == family.bound(n, n, k), (k, n)
+
+    def test_pair_bound_is_the_zarankiewicz_table(self):
+        bound = upper_bound(all_ones(2, 2))
+        expected = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16, 7: 21}
+        assert {n: bound(n, n) for n in expected} == expected
+        assert tuple(bound(m, 5) for m in range(1, 5)) == (5, 6, 8, 10)
+
+    def test_pattern_that_does_not_fit_is_guarded(self):
+        # The identity formula falls below m*n, and below 0, where I_k does not fit.
+        assert FAMILIES[Identity].bound(1, 1, 4) == -3
+        assert upper_bound(identity(4))(1, 1) == 1
+        assert ex_exact(2, identity(3)).value == 4
+        assert ex_exact(3, identity(3)).strip[0] == 3
+
+    def test_other_patterns_get_the_trivial_bound(self):
+        assert upper_bound(G)(5, 5) == 25
+        assert upper_bound(all_ones(2, 3))(4, 5) == 20
 
 
 class TestClosedForms:

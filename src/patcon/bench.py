@@ -22,9 +22,9 @@ import random
 import statistics
 from time import perf_counter
 
-from .matrix import BitMatrix, Frozen, classify_pattern
+from .matrix import BitMatrix, Frozen
 from .naive import contains_naive
-from .fast import FAMILIES, BenchConfigError, UnsupportedPatternError, decider, dispatch
+from .fast import BenchConfigError, UnsupportedPatternError, decider, dispatch, family_of
 
 log = logging.getLogger(__name__)
 
@@ -48,18 +48,18 @@ def gen_random(n: int, density: float, seed: int) -> BitMatrix:
 def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
     """Dense n x n matrix avoiding P, for worst-case full-scan inputs.
 
-    The construction is the avoider of P's family in ``fast.FAMILIES``.
+    The construction is the avoider of P's family (``fast.family_of``).
     Every output is re-verified by dispatch before it is returned.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cls = classify_pattern(P)
-    family = FAMILIES.get(type(cls))
-    if family is None:
-        raise UnsupportedPatternError(f"no avoider construction for {cls!r}")
-    M = family.avoider(n, *cls.__dict__.values())
+    found = family_of(P)
+    if found is None:
+        raise UnsupportedPatternError("no avoider construction for a general pattern")
+    family, fields = found
+    M = family.avoider(n, *fields)
     if dispatch(M, P):
-        raise RuntimeError(f"avoider construction for {cls!r} failed verification")
+        raise RuntimeError(f"{family.label} avoider construction for {fields} failed verification")
     return M
 
 
@@ -81,11 +81,7 @@ def fit_exponent(measurements) -> float | None:
         return None
     xs = [math.log(n) for n, _, _ in measurements]
     ys = [math.log(max(med, 1e-12)) for _, med, _ in measurements]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
+    return statistics.linear_regression(xs, ys).slope
 
 
 def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials: int):

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
-from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label
+from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label, upper_bound
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -42,7 +42,7 @@ def cmd_check(args) -> int:
             print(f"patcon: warning: bounds file {args.bounds} not found; prefilter off",
                   file=sys.stderr)
         result = dispatch(A, P, bounds)
-        label = route_label(classify_pattern(P))
+        label = route_label(P)
     else:
         if args.bounds:
             print(f"patcon: warning: --bounds is ignored with --algo {args.algo}", file=sys.stderr)
@@ -64,7 +64,6 @@ def cmd_extremal(args) -> int:
         SearchBudgetExceeded,
         ex_exact,
         save_cache,
-        upper_bound,
     )
 
     P = _read_matrix(args.pattern)
@@ -120,7 +119,7 @@ def cmd_bench(args) -> int:
     if args.algos:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     else:
-        algos = [route_label(classify_pattern(P))]
+        algos = [route_label(P)]
     reports = bench_compare(algos, P, sizes, args.density, args.seed, args.trials)
     write_bench_csv(reports, args.csv)
     for rep in reports:

@@ -21,12 +21,12 @@ that cannot strictly beat the best so far, and the witness is doubly sorted,
 as swapping an out-of-order pair of its rows or columns would give a
 lexicographically greater avoider with as many ones.
 
-Each search also stops at the first leaf whose ones reach ``upper_bound``,
-the ``bound`` of P's family in ``fast.FAMILIES`` (m*n when P does not fit):
-a proven upper bound on the ones of any m x n avoider. The search keeps the
-first leaf with the most ones, so a leaf that reaches a proven bound is the
-witness the full search would return; only the nodes after it are saved. A
-leaf above the bound would disprove it and raises RuntimeError.
+Each search also stops at the first leaf whose ones reach ``fast.upper_bound``,
+the ``bound`` of P's family (m*n when P does not fit): a proven upper bound
+on the ones of any m x n avoider. The search keeps the first leaf with the
+most ones, so a leaf that reaches a proven bound is the witness the full
+search would return; only the nodes after it are saved. A leaf above the
+bound would disprove it and raises RuntimeError.
 
 Containment is decided incrementally. The search only extends avoiders, and
 a new 1 at (r, c) comes after every 1 already placed, so the extended matrix
@@ -53,14 +53,13 @@ import sys
 from .matrix import (
     BitMatrix,
     Frozen,
-    classify_pattern,
     count_ones,
     decimal_pair,
     parse_matrix,
     serialize,
 )
 from .naive import contains_naive, copies_through
-from .fast import FAMILIES, Family, dispatch
+from .fast import dispatch, upper_bound
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -90,18 +89,6 @@ class ExtremalRecord(Frozen):
                "cut_symmetry", "strip", "closed")
     nodes = cut_contained = cut_bound = cut_symmetry = closed = 0  # the defaults
     strip = ()
-
-
-def upper_bound(P: BitMatrix):
-    """The function (m, n) -> a proven upper bound on the ones of an m x n avoider of P.
-
-    That is P's family's ``bound`` when P fits in m x n, else m*n; a pattern
-    outside every family has the default bound m*n.
-    """
-    shape = classify_pattern(P)
-    bound = FAMILIES.get(type(shape), Family).bound
-    fields = tuple(vars(shape).values())
-    return lambda m, n: m * n if m < P.rows or n < P.cols else bound(m, n, *fields)
 
 
 def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,

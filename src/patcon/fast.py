@@ -27,9 +27,12 @@ print, under the same labels.
 ``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
 ``matrix.py`` to its route label, its ``contains_*`` kernel, the verdict of
 its paper scan, its dense avoider and a proven upper bound on the ones of an
-m x n avoider, with its proof beside it; ``dispatch``, ``decider`` (the
-``--algo``/``--algos`` selectors), ``bench``'s avoiders and the extremal
-search (which stops at the bound) read it, so a new family is one new entry.
+m x n avoider, with its proof beside it. ``family_of`` is the one path from
+a pattern to its entry, for ``dispatch``, ``route_label``, ``bench``'s
+avoiders and ``upper_bound`` (where the extremal search stops); ``decider``
+(the ``--algo``/``--algos`` selectors) fits one label's entries. A new family
+is an entry here, a ``PatternClass`` subclass and ``PATTERN_SHAPES`` row in
+``matrix.py``, and its class name in the export table of ``__init__.py``.
 The entries look the kernels and scans up as module globals at call time.
 Every ``check`` imports this module, so it keeps to cheap imports:
 ``Family`` is a ``matrix.Frozen`` value rather than a dataclass, and
@@ -56,7 +59,6 @@ from .matrix import (
     Frozen,
     Identity,
     LShape,
-    PatternClass,
     RowOnes,
     TupleIdentity,
     classify_pattern,
@@ -489,10 +491,23 @@ LABELS = tuple(dict.fromkeys(family.label for family in FAMILIES.values()))
 ALGOS = ("auto", "naive", *LABELS)
 
 
-def route_label(shape: PatternClass) -> str:
-    """The label dispatch routes this class to: its family's, or naive for the oracle."""
+def family_of(P: BitMatrix):
+    """(P's entry in ``FAMILIES``, the fields its callables take), or None for a General P."""
+    shape = classify_pattern(P)
     family = FAMILIES.get(type(shape))
-    return family.label if family else "naive"
+    return (family, tuple(vars(shape).values())) if family else None
+
+
+def route_label(P: BitMatrix) -> str:
+    """The label dispatch routes P to: its family's, or naive for the oracle."""
+    found = family_of(P)
+    return found[0].label if found else "naive"
+
+
+def upper_bound(P: BitMatrix):
+    """(m, n) -> a proven bound on an m x n avoider's ones: P's family's ``bound``, else m*n."""
+    family, fields = family_of(P) or (Family, ())
+    return lambda m, n: m * n if m < P.rows or n < P.cols else family.bound(m, n, *fields)
 
 
 def match_label(label: str, P: BitMatrix):
@@ -520,11 +535,11 @@ def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
         bound = bounds.get((A.rows, P))
         if bound is not None and ones_prefilter(A, bound) is PrefilterResult.CONTAINS:
             return True
-    shape = classify_pattern(P)
-    family = FAMILIES.get(type(shape))
-    if family is None:
+    found = family_of(P)
+    if found is None:
         return contains_naive(A, P)
-    return family.contains(A, *shape.__dict__.values())
+    family, fields = found
+    return family.contains(A, *fields)
 
 
 def decider(algo: str, P: BitMatrix, full_scan: bool = False):

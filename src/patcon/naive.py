@@ -31,6 +31,17 @@ def _pattern_column_rows(P: BitMatrix):
     ]
 
 
+def _column_needs(pat_cols, row_of):
+    """Row bitmask each pattern column needs when pattern row i sits on matrix row ``row_of[i]``."""
+    needs = []
+    for rows_needed in pat_cols:
+        m = 0
+        for i in rows_needed:
+            m |= 1 << row_of[i]
+        needs.append(m)
+    return needs
+
+
 def _greedy_columns(colmasks, needs) -> bool:
     """Match pattern columns to matrix columns left to right; needs are row bitmasks."""
     j = 0
@@ -72,12 +83,7 @@ def copies_through(P: BitMatrix, rows: int):
         out = []
         if rows - 1 - r >= tail_rows:
             for sel in combinations(range(r), i_star):
-                needs = []
-                for rows_needed in pat_cols:
-                    m = 0
-                    for i in rows_needed:
-                        m |= 1 << (r if i == i_star else sel[i])
-                    needs.append(m)
+                needs = _column_needs(pat_cols, (*sel, r))  # pattern row i* on row r
                 out.append((needs[j_star], needs[:j_star], needs[j_star + 1 :]))
         return out
 
@@ -108,12 +114,6 @@ def contains_naive(A: BitMatrix, P: BitMatrix) -> bool:
     colmasks = list(column_masks(A))
     pat_cols = _pattern_column_rows(P)
     for sel in combinations(range(A.rows), P.rows):
-        needs = []
-        for rows_needed in pat_cols:
-            m = 0
-            for i in rows_needed:
-                m |= 1 << sel[i]
-            needs.append(m)
-        if _greedy_columns(colmasks, needs):
+        if _greedy_columns(colmasks, _column_needs(pat_cols, sel)):
             return True
     return False

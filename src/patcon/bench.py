@@ -72,7 +72,7 @@ class BenchReport(Frozen):
     (n, trial, seconds, contains) tuples for CSV emission.
     """
 
-    _fields = ("algo", "measurements", "exponent", "generator", "seed", "runs")
+    _fields = ("algo", "measurements", "exponent", "seed", "runs")
 
 
 def fit_exponent(measurements) -> float | None:
@@ -135,7 +135,6 @@ def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials:
                 algo=label,
                 measurements=tuple(measurements),
                 exponent=fit_exponent(measurements),
-                generator=f"random(density={density})",
                 seed=seed,
                 runs=tuple(runs),
             )

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
-from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label, upper_bound
+from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -75,7 +75,6 @@ def cmd_extremal(args) -> int:
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0
-    bound = upper_bound(P)
     for n in ns:
         try:
             rec = ex_exact(n, P, node_budget=budget)
@@ -93,10 +92,8 @@ def cmd_extremal(args) -> int:
               f"{rec.cut_symmetry} by symmetry; strip table ex(m x {n},P), m < {n}: "
               f"{' '.join(map(str, rec.strip)) or 'none'}", file=sys.stderr)
         if rec.closed:
-            # A strip is searched exactly when P fits in it, and then holds fewer than m*n ones.
-            searched = 1 + sum(v < m * n for m, v in enumerate(rec.strip, 1))
-            print(f"ex({n},P): {rec.closed} of {searched} searches closed at a proven upper "
-                  f"bound ({bound(n, n)} for the n x n search)", file=sys.stderr)
+            print(f"ex({n},P): {rec.closed} of {rec.searches} searches closed at a proven upper "
+                  f"bound ({rec.cap} for the n x n search)", file=sys.stderr)
         records.append(rec)
     if args.witness_out:
         os.makedirs(args.witness_out, exist_ok=True)

@@ -48,6 +48,7 @@ budget, shared with the strip searches, turns runaway searches into an error.
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .matrix import (
@@ -80,15 +81,15 @@ class ExtremalRecord(Frozen):
     ``pattern``; no n x n matrix with more ones avoids it. ``nodes`` is the
     number of search nodes ``ex_exact`` visited to prove it (0 when the
     record did not come from a search), the searches for ``strip``, ex(m x n,
-    P) for m < n, included; ``cut_*`` count the branches each rule cut, and
-    ``closed`` the searches, strips included, whose value reached their
-    ``upper_bound``.
+    P) for m < n, included; ``cut_*`` count the branches each rule cut, ``searches``
+    the searches run, strips included, ``closed`` those that reached their
+    ``upper_bound``, and ``cap`` the n x n search's (None if no search ran).
     """
 
     _fields = ("n", "pattern", "value", "witness", "nodes", "cut_contained", "cut_bound",
-               "cut_symmetry", "strip", "closed")
-    nodes = cut_contained = cut_bound = cut_symmetry = closed = 0  # the defaults
-    strip = ()
+               "cut_symmetry", "strip", "searches", "closed", "cap")
+    nodes = cut_contained = cut_bound = cut_symmetry = searches = closed = 0  # the defaults
+    strip, cap = (), None
 
 
 def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,
@@ -175,7 +176,7 @@ def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> Ex
         raise ValueError("pattern has no ones; every matrix contains it")
 
     bound = upper_bound(P)
-    nodes, cuts, closed = 0, (0, 0, 0), 0
+    nodes, cuts, searches, closed = 0, (0, 0, 0), 0, 0
     strip = [0]  # strip[m] = ex(m x n, P), for m < n
     for m in range(1, n + 1):  # the strips, then the n x n search itself
         if m < n and (m < P.rows or n < P.cols):
@@ -184,12 +185,13 @@ def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> Ex
             cap = bound(m, n)
             value, cells, nodes, more = _search(m, n, P, strip, cap, nodes, node_budget)
             cuts = tuple(map(sum, zip(cuts, more)))
-            closed += value == cap
+            searches, closed = searches + 1, closed + (value == cap)
         strip.append(value)
     witness = BitMatrix(n, n, cells)
     if dispatch(witness, P):  # cross-check of the incremental test
         raise RuntimeError(f"extremal search for n={n} produced a witness containing the pattern")
-    return ExtremalRecord(n, P, value, witness, nodes, *cuts, tuple(strip[1:n]), closed)
+    return ExtremalRecord(n, P, value, witness, nodes, *cuts, tuple(strip[1:n]), searches,
+                          closed, cap)
 
 
 def verify_record(rec: ExtremalRecord) -> bool:
@@ -216,7 +218,7 @@ def ex_table(n_max: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET):
 #
 # The first block is the line "pattern" followed by the pattern in dense
 # format. Then one block per record: a line "n value", then the witness in
-# dense format. Blocks are separated by blank lines. Recording the pattern
+# dense format. Blocks are separated by blank (or whitespace) lines. Recording the pattern
 # lets a reader refuse bounds that were computed for another pattern.
 
 
@@ -236,7 +238,7 @@ def _read_cache(path):
     """(pattern, [(n, value, witness), ...]) from a cache file, every record verified."""
     with open(path) as fh:
         text = fh.read()
-    blocks = [b.strip().splitlines() for b in text.split("\n\n") if b.strip()]
+    blocks = [b.strip().splitlines() for b in re.split(r"\n\s*\n", text) if b.strip()]
     if not blocks or blocks[0][0].strip() != "pattern":
         raise ValueError(f"cache file {path} does not record its pattern; rewrite it with --cache-out")
     pattern = parse_matrix("\n".join(blocks[0][1:]))

@@ -117,6 +117,19 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out.startswith("CONTAINS")
 
+    def test_bounds_cache_separator_may_hold_whitespace(self, files, tmp_path, capsys):
+        p = files("p.txt", all_ones(2, 2))
+        a = files("a.txt", all_ones(3, 3))
+        cache = tmp_path / "cache.txt"
+        assert main(["extremal", "--pattern", p, "--n-max", "3", "--cache-out", str(cache)]) == 0
+        capsys.readouterr()
+        runs = []
+        for text in (cache.read_text(), cache.read_text().replace("\n\n", "\n  \n")):
+            cache.write_text(text)
+            runs.append((main(["check", "--matrix", a, "--pattern", p, "--bounds", str(cache)]),
+                         capsys.readouterr()))
+        assert runs[0] == runs[1] == (0, ("CONTAINS allones\n", ""))
+
     def test_lowered_bounds_cache_value_is_not_trusted(self, files, tmp_path, capsys):
         # ex(2, J2) = 3, and the 2 x 2 record lowered to a 2-ones avoider still
         # verifies; its value is not the proven bound 3, so 11/10 is scanned

@@ -29,6 +29,7 @@ from patcon import (
     verify_record,
     zeros,
 )
+from patcon import extremal
 from patcon.extremal import upper_bound
 from patcon.fast import FAMILIES, Family
 
@@ -184,6 +185,51 @@ class TestStoppingBound:
         with_bound(monkeypatch, Identity, -1)
         with pytest.raises(RuntimeError, match="disproves the bound"):
             ex_exact(4, identity(2))
+
+
+def count_searches(monkeypatch):
+    """Record (rows, cap) of every ``_search`` call ``ex_exact`` makes from now on."""
+    calls = []
+    search = extremal._search
+
+    def counted(rows, n, P, strip, cap, *rest):
+        calls.append((rows, cap))
+        return search(rows, n, P, strip, cap, *rest)
+
+    monkeypatch.setattr(extremal, "_search", counted)
+    return calls
+
+
+class TestSearchAccount:
+    @pytest.mark.parametrize("n, P, searches, cap, closed, rows", [
+        (5, identity(3), 3, 16, 3, [3, 4, 5]),
+        (32, all_ones(33, 1), 1, 32 * 32, 1, [32]),
+        (5, all_ones(2, 2), 4, 12, 4, [2, 3, 4, 5]),
+        (5, G, 4, 25, 0, [2, 3, 4, 5]),
+        (1, all_ones(1, 1), 1, 0, 1, [1]),
+    ])
+    def test_record_counts_its_searches_and_cap(self, monkeypatch, n, P, searches, cap, closed,
+                                                rows):
+        calls = count_searches(monkeypatch)
+        rec = ex_exact(n, P)
+        assert (rec.searches, rec.cap, rec.closed) == (searches, cap, closed)
+        assert [r for r, _ in calls] == rows
+        assert rec.searches == len(calls) and calls[-1] == (n, rec.cap)
+
+    def test_cache_record_ran_no_search(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        save_cache(ex_table(3, identity(2)), path)
+        for n, value, witness in load_cache(path):
+            rec = ExtremalRecord(n, identity(2), value, witness)
+            assert (rec.searches, rec.cap) == (0, None)
+
+    def test_cap_follows_a_raised_bound(self, monkeypatch):
+        assert ex_exact(5, identity(3)).cap == 16
+        with_bound(monkeypatch, Identity, 1)
+        calls = count_searches(monkeypatch)
+        rec = ex_exact(5, identity(3))
+        assert (rec.searches, rec.cap, rec.closed) == (3, 17, 0)
+        assert calls[-1] == (5, 17)
 
 
 class TestBoundTable:
@@ -408,6 +454,15 @@ class TestCacheFile:
             load_cache(path)
         with pytest.raises(ValueError, match="second record for n=2"):
             bounds_from_cache(path, P)
+
+    def test_separator_lines_may_hold_whitespace(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        save_cache(ex_table(3, all_ones(1, 1)), path)
+        text = path.read_text()
+        assert text.count("\n\n") == 3
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text(text.replace("\n\n", "\n  \n"))
+        assert load_cache(spaced) == load_cache(path)
 
     def test_two_records_for_one_n_not_saved(self, tmp_path):
         records = [ex_exact(2, identity(2)), ex_exact(2, identity(2))]

@@ -368,12 +368,12 @@ class TestValueSemantics:
         assert repr(ExtremalRecord(1, all_ones(1, 1), 0, zeros(1, 1))) == (
             "ExtremalRecord(n=1, pattern=BitMatrix(rows=1, cols=1, cells=b'\\x01'), value=0, "
             "witness=BitMatrix(rows=1, cols=1, cells=b'\\x00'), nodes=0, cut_contained=0, "
-            "cut_bound=0, cut_symmetry=0, strip=(), closed=0)"
+            "cut_bound=0, cut_symmetry=0, strip=(), searches=0, closed=0, cap=None)"
         )
-        rep = BenchReport("identity", ((8, 0.5, 3),), None, "random(density=0.5)", 1, ())
+        rep = BenchReport("identity", ((8, 0.5, 3),), None, 1, ())
         assert repr(rep) == (
-            "BenchReport(algo='identity', measurements=((8, 0.5, 3),), exponent=None, "
-            "generator='random(density=0.5)', seed=1, runs=())"
+            "BenchReport(algo='identity', measurements=((8, 0.5, 3),), exponent=None, seed=1, "
+            "runs=())"
         )
         assert repr(Family("x", 1, 2, 3, 4)) == (
             "Family(label='x', contains=1, scan=2, avoider=3, bound=4)")

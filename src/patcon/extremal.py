@@ -218,8 +218,8 @@ def ex_table(n_max: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET):
 #
 # The first block is the line "pattern" followed by the pattern in dense
 # format. Then one block per record: a line "n value", then the witness in
-# dense format. Blocks are separated by blank (or whitespace) lines. Recording the pattern
-# lets a reader refuse bounds that were computed for another pattern.
+# dense format. Blocks are separated by blank lines (whitespace allowed).
+# Recording the pattern lets a reader refuse bounds computed for another pattern.
 
 
 def save_cache(records, path):

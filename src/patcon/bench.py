@@ -9,9 +9,11 @@ mostly measure how soon a threshold fires. The verdict is still derived
 from the scanned statistic and, for sizes up to 64, cross-checked against
 the brute-force oracle.
 
-Generation is deterministic: ``gen_random(n, density, seed)`` fills cells
-row-major with one Mersenne Twister draw each, so identical arguments give
-identical matrices on every platform and run.
+Generation is deterministic: ``gen_random(n, density, seed)`` decides cell
+(r, c) by the (r·n + c)-th ``random()`` float of ``random.Random(seed)``,
+so identical arguments give identical matrices on every platform and run.
+It takes a row's draws from the Mersenne Twister in one call rather than
+one per cell, and reads the same words ``random()`` would.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import logging
 import math
 import random
 import statistics
+import struct
 from time import perf_counter
 
 from .matrix import BitMatrix, Frozen
@@ -35,14 +38,37 @@ def gen_random(n: int, density: float, seed: int) -> BitMatrix:
     Cell (r, c) is 1 iff the next float of ``random.Random(seed)`` is below
     ``density``, drawn row-major. The generator algorithm is fixed, so the
     output is reproducible across runs and platforms.
+
+    Each row takes its n draws in one ``getrandbits(64 * n)`` call. CPython
+    fills that integer from its least significant 32-bit word up, so its
+    little-endian bytes hold the 2n words that n ``random()`` calls would
+    consume, in order. ``random()`` returns exactly (a * 2**26 + b) / 2**53
+    with a = w0 >> 5 and b = w1 >> 6 for its words w0, w1, so the draw is
+    below ``density`` exactly when a * 2**26 + b < thr = ceil(density * 2**53),
+    an exact integer. The top byte of w0 is that 53-bit value >> 45: a byte
+    below thr >> 45 makes a 1, a byte above it a 0, and the cells whose byte
+    equals it (about 1 in 256) are decided by the full comparison.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    rng = random.Random(seed)
-    draw = rng.random
-    return BitMatrix(n, n, bytes(1 if draw() < density else 0 for _ in range(n * n)))
+    thr = math.ceil(density * 2**53)
+    edge = thr >> 45  # 256 when density is 1: every top byte is below it
+    table = bytes(1 if t < edge else 0 for t in range(256))
+    getrandbits = random.Random(seed).getrandbits
+    cells = bytearray(n * n)
+    for start in range(0, n * n, n):
+        words = getrandbits(64 * n).to_bytes(8 * n, "little")
+        tops = words[3::8]  # top byte of each draw's first word
+        cells[start:start + n] = tops.translate(table)
+        j = tops.find(edge) if edge < 256 else -1
+        while j >= 0:
+            w0, w1 = struct.unpack_from("<II", words, 8 * j)
+            if ((w0 >> 5) << 26) + (w1 >> 6) < thr:
+                cells[start + j] = 1
+            j = tops.find(edge, j + 1)
+    return BitMatrix(n, n, cells)
 
 
 def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
@@ -94,7 +120,9 @@ def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials:
     generation.
     """
     sizes = list(sizes)
-    if not sizes or any(n < 1 for n in sizes):
+    if not sizes:
+        raise BenchConfigError("need at least one size")
+    if any(n < 1 for n in sizes):
         raise BenchConfigError("sizes must be positive")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise BenchConfigError("sizes must be strictly increasing")

@@ -14,6 +14,7 @@ up with the matrix, oracle and kernel modules alone. ``check --algo`` runs
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -117,6 +118,8 @@ def cmd_bench(args) -> int:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     else:
         algos = [route_label(P)]
+    if not os.path.isdir(os.path.dirname(args.csv) or "."):  # before generating, not after
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.csv)
     reports = bench_compare(algos, P, sizes, args.density, args.seed, args.trials)
     write_bench_csv(reports, args.csv)
     for rep in reports:

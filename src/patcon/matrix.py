@@ -391,8 +391,16 @@ def serialize(M: BitMatrix) -> str:
 
 
 def serialize_sparse(M: BitMatrix) -> str:
-    """Sparse text form; parse_matrix(serialize_sparse(M)) == M."""
-    out = [f"sparse {M.rows} {M.cols}"]
-    for r in range(1, M.rows + 1):
-        out.extend(f"{r} {c}" for c, v in enumerate(M.row(r), 1) if v)
+    """Sparse text form; parse_matrix(serialize_sparse(M)) == M.
+
+    The ones are listed row-major. ``bytes.find`` walks from one 1 to the
+    next, so the Python loop runs once per 1, not once per cell.
+    """
+    cells, cols = M.cells, M.cols
+    out = [f"sparse {M.rows} {cols}"]
+    i = cells.find(1)
+    while i >= 0:
+        r, c = divmod(i, cols)
+        out.append(f"{r + 1} {c + 1}")
+        i = cells.find(1, i + 1)
     return "\n".join(out) + "\n"

@@ -8,11 +8,17 @@ can validate each other.
 ``identity_dp`` is the identity dynamic program with its full suffix table
 kept, the reference for the rolling two-column form in ``fast._tuple_scan``.
 
+``gen_random_reference`` and ``serialize_sparse_reference`` are the plain
+per-cell forms of ``bench.gen_random`` and ``matrix.serialize_sparse``: one
+``random()`` draw per cell and one loop step per cell. The library's forms
+must give byte-identical output.
+
 ``ex_reference`` is the extremal search in its plain recursive form, deciding
 every node with a full ``contains_naive`` call and bounding by the cells left
 only; the library's ``ex_exact`` must reproduce its value and witness.
 """
 
+import random
 from itertools import combinations
 
 from patcon import BitMatrix, ExtremalRecord, contains_naive
@@ -38,6 +44,17 @@ def random_matrix(rng, rows: int, cols: int, density: float = 0.5) -> BitMatrix:
     return BitMatrix(
         rows, cols, bytes(1 if rng.random() < density else 0 for _ in range(rows * cols))
     )
+
+
+def gen_random_reference(n: int, density: float, seed: int) -> BitMatrix:
+    return random_matrix(random.Random(seed), n, n, density)
+
+
+def serialize_sparse_reference(M: BitMatrix) -> str:
+    out = [f"sparse {M.rows} {M.cols}"]
+    for r in range(1, M.rows + 1):
+        out.extend(f"{r} {c}" for c, v in enumerate(M.row(r), 1) if v)
+    return "\n".join(out) + "\n"
 
 
 def all_matrices(rows: int, cols: int):

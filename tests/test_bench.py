@@ -1,6 +1,8 @@
 """Generators, timing harness, exponent fits, and CSV emission."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -25,6 +27,8 @@ from patcon import (
     zeros,
 )
 
+from helpers import gen_random_reference
+
 
 class TestGenRandom:
     def test_density_extremes(self):
@@ -47,6 +51,36 @@ class TestGenRandom:
             gen_random(0, 0.5, 1)
         with pytest.raises(ValueError):
             gen_random(4, 1.5, 1)
+
+
+class TestGenRandomStream:
+    """gen_random draws a row at a time but must match one random() call per cell."""
+
+    SIZES = (1, 2, 3, 7, 8, 9, 33, 64)
+    DENSITIES = (0.0, 1.0, 0.5, 0.25, 0.01, 0.3, 5e-324, 0.5 - 2**-53, 1 - 2**-53)
+    # sha256 of gen_random(n, density, seed).cells from the one-draw-per-cell generator
+    PINNED = {
+        (256, 0.5, 42): "def1c1b6270394b5e87659cdac9c800c8427d429049afcdc85fb2c5d32b49e8b",
+        (512, 0.01, 7): "df0255509d7a9c4b6a61399de526ef41d430649bb44f1e5c6e8aa15b1822a8c5",
+        (100, 0.3, 1): "b89747b8baaf5dd68467a04e6348167f12088e15a863782ea98e397f9d6833d3",
+    }
+
+    @pytest.mark.parametrize("density", DENSITIES, ids=repr)
+    def test_equals_one_draw_per_cell(self, density):
+        for n in self.SIZES:
+            for seed in (0, 1, 7, 2024, 2**32 - 1):
+                assert gen_random(n, density, seed) == gen_random_reference(n, density, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_threshold_equal_to_the_draw(self, seed):
+        # the cell is 1 iff its draw is strictly below the density, at the exact float
+        v = random.Random(seed).random()
+        assert gen_random(1, v, seed).cells == b"\0"
+        assert gen_random(1, math.nextafter(v, 1.0), seed).cells == b"\1"
+
+    @pytest.mark.parametrize("args", sorted(PINNED))
+    def test_pinned_digests(self, args):
+        assert hashlib.sha256(gen_random(*args).cells).hexdigest() == self.PINNED[args]
 
 
 class TestGenAvoider:
@@ -154,8 +188,10 @@ class TestBenchCompare:
             bench_compare(["naive"], identity(2), [8, 16], 0.5, 1, 2)
         with pytest.raises(BenchConfigError):
             bench_compare([], identity(2), [8], 0.5, 1, 3)
-        with pytest.raises(BenchConfigError):
+        with pytest.raises(BenchConfigError, match="need at least one size"):
             bench_compare(["naive"], identity(2), [], 0.5, 1, 3)
+        with pytest.raises(BenchConfigError, match="sizes must be positive"):
+            bench_compare(["naive"], identity(2), [0, 8], 0.5, 1, 3)
 
 
 class TestCsv:

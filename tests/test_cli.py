@@ -502,6 +502,32 @@ class TestBench:
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert len(out_lines) == 3
 
+    def test_empty_sizes_list_names_the_problem(self, files, tmp_path, capsys):
+        p = files("p.txt", identity(2))
+        code = main(["bench", "--pattern", p, "--sizes", ",", "--trials", "3",
+                     "--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "patcon: error: need at least one size\n"
+
+    def test_missing_csv_directory_fails_before_generating(self, files, tmp_path, capsys,
+                                                            monkeypatch):
+        import patcon.bench
+
+        def refuse(*args):
+            raise AssertionError("generated inputs for an unwritable --csv")
+
+        monkeypatch.setattr(patcon.bench, "gen_random", refuse)
+        p = files("p.txt", identity(2))
+        csv = tmp_path / "missing" / "x.csv"
+        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3",
+                     "--csv", str(csv)])
+        assert code == 2
+        # the message open() gives when it fails after the timings
+        assert capsys.readouterr().err == (
+            f"patcon: error: [Errno 2] No such file or directory: '{csv}'\n"
+        )
+        assert not csv.parent.exists()
+
     def test_bad_sizes_exit_two(self, files, tmp_path, capsys):
         p = files("p.txt", identity(2))
         code = main(["bench", "--pattern", p, "--sizes", "8,oops",

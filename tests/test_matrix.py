@@ -31,12 +31,12 @@ from patcon import (
     zeros,
 )
 
-from patcon.bench import BenchReport
+from patcon.bench import BenchReport, gen_random
 from patcon.extremal import ExtremalRecord
 from patcon.fast import FAMILIES, LABELS, Family, match_label
 from patcon.matrix import column_masks, row_masks
 
-from helpers import all_matrices
+from helpers import all_matrices, serialize_sparse_reference
 
 
 @st.composite
@@ -199,6 +199,33 @@ class TestParsing:
     @given(bit_matrices())
     def test_sparse_round_trip(self, M):
         assert parse_matrix(serialize_sparse(M)) == M
+
+
+class TestSerializeSparse:
+    """serialize_sparse walks the ones but must write what a loop over every cell writes."""
+
+    CASES = {
+        "1x1-zero": zeros(1, 1),
+        "1x1-one": all_ones(1, 1),
+        "all-zero": zeros(6, 4),
+        "all-ones": all_ones(4, 6),
+        "3x7": BitMatrix.from_rows([[1, 0, 0, 1, 0, 0, 1], [0] * 7, [0, 1, 1, 0, 0, 0, 0]]),
+        "7x3": BitMatrix.from_rows(
+            [[0, 0, 1], [1, 0, 0], [0] * 3, [0] * 3, [1, 1, 1], [0, 1, 0], [0, 0, 1]]
+        ),
+        "random-0.01": gen_random(96, 0.01, 3),
+        "random-0.5": gen_random(40, 0.5, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_text_equals_per_cell_writer_and_round_trips(self, name):
+        M = self.CASES[name]
+        text = serialize_sparse(M)
+        assert text == serialize_sparse_reference(M)
+        assert parse_matrix(text) == M
+
+    def test_all_zero_is_the_header_line_only(self):
+        assert serialize_sparse(zeros(6, 4)) == "sparse 6 4\n"
 
 
 class TestTranspose:

@@ -15,12 +15,12 @@ code.
 from importlib import import_module
 
 _EXPORTS = {
-    "matrix": """AllOnes BitMatrix ColumnOnes Cross General Identity LShape MatrixFormatError
-        PatternClass RowOnes TupleIdentity all_ones classify_pattern count_ones cross identity
-        lshape parse_matrix serialize serialize_sparse transpose tuple_identity zeros""",
+    "matrix": """BitMatrix MatrixFormatError all_ones count_ones cross identity lshape
+        parse_matrix serialize serialize_sparse transpose tuple_identity zeros""",
     "naive": "contains_naive",
-    "fast": """BenchConfigError PrefilterResult UnsupportedPatternError contains_allones
-        contains_column_ones contains_cross contains_identity contains_lshape
+    "fast": """AllOnes BenchConfigError ColumnOnes Cross General Identity LShape PatternClass
+        PrefilterResult RowOnes TupleIdentity UnsupportedPatternError classify_pattern
+        contains_allones contains_column_ones contains_cross contains_identity contains_lshape
         contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
         max_lshape_height max_tuple_identity_width ones_prefilter""",
     "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache

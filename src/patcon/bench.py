@@ -18,18 +18,17 @@ one per cell, and reads the same words ``random()`` would.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 import statistics
 import struct
+import sys
 from time import perf_counter
 
 from .matrix import BitMatrix, Frozen
 from .naive import contains_naive
-from .fast import BenchConfigError, UnsupportedPatternError, decider, dispatch, family_of
-
-log = logging.getLogger(__name__)
+from . import fast
+from .fast import BenchConfigError, General, UnsupportedPatternError, decider, dispatch
 
 
 def gen_random(n: int, density: float, seed: int) -> BitMatrix:
@@ -74,18 +73,17 @@ def gen_random(n: int, density: float, seed: int) -> BitMatrix:
 def gen_avoider(n: int, P: BitMatrix) -> BitMatrix:
     """Dense n x n matrix avoiding P, for worst-case full-scan inputs.
 
-    The construction is the avoider of P's family (``fast.family_of``).
+    The construction is the avoider of P's family (``fast.classify_pattern``).
     Every output is re-verified by dispatch before it is returned.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    found = family_of(P)
-    if found is None:
+    shape = fast.classify_pattern(P)  # looked up at call time, as dispatch looks it up
+    if type(shape) is General:
         raise UnsupportedPatternError("no avoider construction for a general pattern")
-    family, fields = found
-    M = family.avoider(n, *fields)
+    M = shape.avoider(n)
     if dispatch(M, P):
-        raise RuntimeError(f"{family.label} avoider construction for {fields} failed verification")
+        raise RuntimeError(f"{shape.label} avoider construction for {shape} failed verification")
     return M
 
 
@@ -157,7 +155,8 @@ def bench_compare(algos, P: BitMatrix, sizes, density: float, seed: int, trials:
             measurements.append((n, statistics.median(times), trials))
         medians = [med for _, med, _ in measurements]
         if any(b < a for a, b in zip(medians, medians[1:])):
-            log.warning("median times for %s are not nondecreasing in n: %s", label, medians)
+            print(f"patcon: warning: median times for {label} are not nondecreasing in n: "
+                  f"{medians}", file=sys.stderr)
         reports.append(
             BenchReport(
                 algo=label,

@@ -14,12 +14,11 @@ up with the matrix, oracle and kernel modules alone. ``check --algo`` runs
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 
-from .matrix import BitMatrix, MatrixFormatError, classify_pattern, parse_matrix, serialize
-from .fast import ALGOS, BenchConfigError, decider, dispatch, route_label
+from .matrix import BitMatrix, MatrixFormatError, parse_matrix, serialize
+from .fast import ALGOS, BenchConfigError, classify_pattern, decider, dispatch
 
 
 def _read_matrix(path: str) -> BitMatrix:
@@ -28,6 +27,17 @@ def _read_matrix(path: str) -> BitMatrix:
             return parse_matrix(fh.read())
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError ``open(path, "w")`` would, without creating or truncating the file.
+
+    A directory, a missing parent directory or an existing file that cannot
+    be written fails here, before the command's work, with open()'s message.
+    """
+    if not os.path.exists(path) and os.path.isdir(os.path.dirname(path) or "."):
+        return  # open() would create the file
+    os.close(os.open(path, os.O_WRONLY))  # without O_CREAT or O_TRUNC
 
 
 def cmd_check(args) -> int:
@@ -43,7 +53,7 @@ def cmd_check(args) -> int:
             print(f"patcon: warning: bounds file {args.bounds} not found; prefilter off",
                   file=sys.stderr)
         result = dispatch(A, P, bounds)
-        label = route_label(P)
+        label = classify_pattern(P).label
     else:
         if args.bounds:
             print(f"patcon: warning: --bounds is ignored with --algo {args.algo}", file=sys.stderr)
@@ -73,6 +83,10 @@ def cmd_extremal(args) -> int:
         raise ValueError("n-max must be positive")
     if budget < 1:
         raise ValueError("node-budget must be positive")
+    if args.cache_out:
+        _check_writable(args.cache_out)
+    if args.witness_out:
+        os.makedirs(args.witness_out, exist_ok=True)
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0
@@ -97,7 +111,6 @@ def cmd_extremal(args) -> int:
                   f"bound ({rec.cap} for the n x n search)", file=sys.stderr)
         records.append(rec)
     if args.witness_out:
-        os.makedirs(args.witness_out, exist_ok=True)
         for rec in records:
             with open(os.path.join(args.witness_out, f"witness_n{rec.n}.txt"), "w") as fh:
                 fh.write(serialize(rec.witness))
@@ -117,9 +130,8 @@ def cmd_bench(args) -> int:
     if args.algos:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     else:
-        algos = [route_label(P)]
-    if not os.path.isdir(os.path.dirname(args.csv) or "."):  # before generating, not after
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.csv)
+        algos = [classify_pattern(P).label]
+    _check_writable(args.csv)
     reports = bench_compare(algos, P, sizes, args.density, args.seed, args.trials)
     write_bench_csv(reports, args.csv)
     for rep in reports:

@@ -24,20 +24,27 @@ what ``bench`` and the complexity gate time, because the paper's worst-case
 claims are about them; the kernels decide what ``dispatch`` and ``check``
 print, under the same labels.
 
-``FAMILIES`` is the one per-family table. It maps each ``PatternClass`` of
-``matrix.py`` to its route label, its ``contains_*`` kernel, the verdict of
+Each pattern family is one ``PatternClass`` subclass, the whole description
+of it: its route label, the fields a pattern of P's size could have and the
+factory that rebuilds P from them, its ``contains_*`` kernel, the verdict of
 its paper scan, its dense avoider and a proven upper bound on the ones of an
-m x n avoider, with its proof beside it. ``family_of`` is the one path from
-a pattern to its entry, for ``dispatch``, ``route_label``, ``bench``'s
-avoiders and ``upper_bound`` (where the extremal search stops); ``decider``
-(the ``--algo``/``--algos`` selectors) fits one label's entries. A new family
-is an entry here, a ``PatternClass`` subclass and ``PATTERN_SHAPES`` row in
-``matrix.py``, and its class name in the export table of ``__init__.py``.
-The entries look the kernels and scans up as module globals at call time.
-Every ``check`` imports this module, so it keeps to cheap imports:
-``Family`` is a ``matrix.Frozen`` value rather than a dataclass, and
-``BenchConfigError``, which ``decider`` raises, is defined here and
-re-exported by ``bench``.
+m x n avoider, with its proof beside it. ``fit`` is the one loop that finds
+the first family whose factory rebuilds P. Families overlap (a single 1 is a
+column of ones, an identity, a cross, ...), so ``classify_pattern`` runs it
+in the priority of ``PATTERN_SHAPES`` (column-ones, row-ones, all-ones,
+identity, tuple identity, L-shape, cross) to name P's one canonical class,
+``General`` when none fits; small patterns are classified once and then
+served from a bounded cache. ``match_label`` runs ``fit`` on one label's
+families, for ``decider`` (the ``--algo``/``--algos`` selectors).
+``dispatch``, ``upper_bound`` (where the extremal search stops) and
+``bench``'s avoiders call the classified pattern's methods, and its
+``label`` names the route ``check`` prints. A
+new family is one class here and its name in the export table of
+``__init__.py``. The methods look the kernels and scans up as module
+globals at call time. Every ``check`` imports this module, so it keeps to
+cheap imports: the classes are ``matrix.Frozen`` values rather than
+dataclasses, and ``BenchConfigError``, which ``decider`` raises, is defined
+here and re-exported by ``bench``.
 
 ``dispatch`` first applies the ones-count prefilter when the caller supplies
 a proven extremal bound; if that leaves the answer open, it classifies the
@@ -46,27 +53,24 @@ pattern, routes to its family's kernel, or falls back to the oracle.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, repeat
 from math import isqrt
 
 from .matrix import (
-    PATTERN_SHAPES,
-    AllOnes,
     BitMatrix,
-    ColumnOnes,
-    Cross,
     Frozen,
-    Identity,
-    LShape,
-    RowOnes,
-    TupleIdentity,
-    classify_pattern,
+    all_ones,
     column_masks,
     count_ones,
-    fit,
+    cross,
+    identity,
+    lshape,
     row_masks,
     transpose,
+    tuple_identity,
 )
 from .naive import contains_naive
 
@@ -377,7 +381,7 @@ def ones_prefilter(A: BitMatrix, bound: int) -> PrefilterResult:
     return PrefilterResult.UNKNOWN
 
 
-# --- the pattern-family table ----------------------------------------------------
+# --- the pattern families --------------------------------------------------------
 
 
 class UnsupportedPatternError(ValueError):
@@ -409,117 +413,186 @@ def _pair_bound(a: int, b: int) -> int:
     return (b + isqrt(b * b + 4 * b * a * (a - 1))) // 2
 
 
-class Family(Frozen):
-    """A pattern family; its callables take the class's fields after their first arguments.
+class PatternClass(Frozen):
+    """A pattern family; an instance is P classified, with the family's fields.
 
+    Each subclass is the whole description of its family. On the class,
     ``label`` names the route in CLI output and in the ``--algo``/``--algos``
-    selectors; ``contains(A, ...)`` is the kernel dispatch runs, ``scan(A,
-    ...)`` the same verdict from the paper's full scan that bench times,
-    ``avoider(n, ...)`` a dense n x n matrix avoiding the pattern, and
-    ``bound(m, n, ...)`` a proven upper bound on the ones of an m x n matrix
-    avoiding it, for m and n at least the pattern's rows and columns (the
-    extremal search stops when it reaches it). The default bound is m*n.
+    selectors, ``read(P)`` gives the only fields a pattern of P's size could
+    have (or None), and ``build(*fields)`` is the factory that rebuilds P from
+    them; ``fit`` calls both on the class. On a classified pattern,
+    ``contains(A)`` is the kernel dispatch runs, ``scan(A)`` the same verdict
+    from the paper's full scan that bench times, ``avoider(n)`` a dense
+    n x n matrix avoiding the pattern, and ``bound(m, n)`` a proven upper
+    bound on the ones of an m x n matrix avoiding it, for m and n at least
+    the pattern's rows and columns (the extremal search stops when it
+    reaches it). The defaults are the oracle's label and the bound m*n.
     """
 
-    _fields = ("label", "contains", "scan", "avoider", "bound")
-    bound = staticmethod(lambda m, n, *fields: m * n)
+    label = "naive"
+    bound = lambda self, m, n: m * n
+
+    def __str__(self) -> str:
+        """The ``classify`` text: the class name in kebab case, then field=value pairs."""
+        name = re.sub(r"(?<=[a-z])(?=[A-Z])", "-", type(self).__name__).lower()
+        return " ".join([name, *(f"{field}={value}" for field, value in vars(self).items())])
 
 
-FAMILIES = {
-    ColumnOnes: Family(
-        "column",
-        contains=lambda A, k: contains_column_ones(A, k),
-        scan=lambda A, k: max_column_ones(A) >= k,
-        avoider=lambda n, k: _full_rows(n, k - 1),
-        bound=lambda m, n, k: (k - 1) * n,  # each column holds at most k-1 ones
-    ),
-    RowOnes: Family(
-        "column",
-        contains=lambda A, w: contains_lshape(A, 1, w),
-        scan=lambda A, w: max_column_ones(transpose(A)) >= w,
-        avoider=lambda n, w: transpose(_full_rows(n, w - 1)),
-        bound=lambda m, n, w: (w - 1) * m,  # each row holds at most w-1 ones
-    ),
-    Identity: Family(
-        "identity",
-        contains=lambda A, k: contains_identity(A, k),
-        scan=lambda A, k: max_identity(A) >= k,
-        avoider=lambda n, k: _corner(n, k - 1),
-        # Label each 1 with the length t < k of the longest increasing chain
-        # ending at it (Mirsky). No two 1s labelled t form an increasing pair
-        # and none lies in the first t-1 rows or columns, so each of the
-        # m+n-2t+1 diagonals of the corner left holds at most one of them.
-        bound=lambda m, n, k: (k - 1) * (m + n - k + 1),
-    ),
-    TupleIdentity: Family(
-        "tuple-identity",
-        contains=lambda A, j, k: contains_tuple_identity(A, j, k),
-        scan=lambda A, j, k: max_tuple_identity_width(A, j) >= k,
-        avoider=lambda n, j, k: _full_rows(n, j * k - 1),
-    ),
-    LShape: Family(
-        "lshape",
-        contains=lambda A, h, w: contains_lshape(A, h, w),
-        scan=lambda A, h, w: max_lshape_height(A, w) >= h,
-        avoider=lambda n, h, w: _full_rows(n, h - 1),
-    ),
-    Cross: Family(
-        "cross",
-        contains=lambda A, a, b, c, d: contains_cross(A, a, b, c, d),
-        scan=lambda A, a, b, c, d: _cross_tally_scan(A, a, b, c, d),  # no max_* form
-        avoider=lambda n, a, b, c, d: _full_rows(n, a - 1),
-    ),
-    AllOnes: Family(
-        "allones",
-        contains=lambda A, k, l: contains_allones(A, k, l),
-        # subsets of size min(k, l)
-        scan=lambda A, k, l: (
-            max_allones_rows(A, l) >= k if l <= k else max_allones_rows(transpose(A), k) >= l
-        ),
-        avoider=lambda n, k, l: _full_rows(n, k - 1),
-        # J2 (Reiman 1958): two rows share at most one column, so the column
-        # sums d_j of e ones satisfy sum C(d_j, 2) <= C(m, 2), and by Jensen
-        # e(e - n) <= n m(m - 1); the same holds with rows and columns swapped.
-        bound=lambda m, n, k, l: (
-            min(_pair_bound(m, n), _pair_bound(n, m)) if k == l == 2 else m * n
-        ),
-    ),
-}
+# The families, defined in the order of their labels in ``--help``: LABELS reads it.
+class ColumnOnes(PatternClass):
+    _fields = ("k",)
+    label = "column"
+    read = lambda P: (P.rows,) if P.cols == 1 else None
+    build = lambda k: all_ones(k, 1)
+    contains = lambda self, A: contains_column_ones(A, self.k)
+    scan = lambda self, A: max_column_ones(A) >= self.k
+    avoider = lambda self, n: _full_rows(n, self.k - 1)
+    bound = lambda self, m, n: (self.k - 1) * n  # each column holds at most k-1 ones
 
-# The scan labels in table order, and the selectors: those plus dispatch (auto) and the oracle.
-LABELS = tuple(dict.fromkeys(family.label for family in FAMILIES.values()))
+
+class RowOnes(PatternClass):
+    _fields = ("w",)
+    label = "column"
+    read = lambda P: (P.cols,) if P.rows == 1 else None
+    build = lambda w: all_ones(1, w)
+    contains = lambda self, A: contains_lshape(A, 1, self.w)
+    scan = lambda self, A: max_column_ones(transpose(A)) >= self.w
+    avoider = lambda self, n: transpose(_full_rows(n, self.w - 1))
+    bound = lambda self, m, n: (self.w - 1) * m  # each row holds at most w-1 ones
+
+
+class Identity(PatternClass):
+    _fields = ("k",)
+    label = "identity"
+    read = lambda P: (P.rows,) if P.rows == P.cols else None
+    build = identity
+    contains = lambda self, A: contains_identity(A, self.k)
+    scan = lambda self, A: max_identity(A) >= self.k
+    avoider = lambda self, n: _corner(n, self.k - 1)
+    # Label each 1 with the length t < k of the longest increasing chain
+    # ending at it (Mirsky). No two 1s labelled t form an increasing pair
+    # and none lies in the first t-1 rows or columns, so each of the
+    # m+n-2t+1 diagonals of the corner left holds at most one of them.
+    bound = lambda self, m, n: (self.k - 1) * (m + n - self.k + 1)
+
+
+class TupleIdentity(PatternClass):
+    _fields = ("j", "k")
+    label = "tuple-identity"
+    read = lambda P: (P.rows // P.cols, P.cols) if P.rows % P.cols == 0 else None
+    build = tuple_identity
+    contains = lambda self, A: contains_tuple_identity(A, self.j, self.k)
+    scan = lambda self, A: max_tuple_identity_width(A, self.j) >= self.k
+    avoider = lambda self, n: _full_rows(n, self.j * self.k - 1)
+
+
+class LShape(PatternClass):
+    _fields = ("h", "w")
+    label = "lshape"
+    read = lambda P: (P.rows, P.cols)
+    build = lshape
+    contains = lambda self, A: contains_lshape(A, self.h, self.w)
+    scan = lambda self, A: max_lshape_height(A, self.w) >= self.h
+    avoider = lambda self, n: _full_rows(n, self.h - 1)
+
+
+def _cross_center(P: BitMatrix):
+    """(a, b, c, d) for P's first full row c and first full column d, else None."""
+    c = next((r for r in range(1, P.rows + 1) if P.row(r).count(1) == P.cols), 0)
+    d = c and next((x for x in range(1, P.cols + 1) if P.column(x).count(1) == P.rows), 0)
+    return (P.rows, P.cols, c, d) if d else None
+
+
+class Cross(PatternClass):
+    _fields = ("a", "b", "c", "d")
+    label = "cross"
+    read = _cross_center
+    build = cross
+    contains = lambda self, A: contains_cross(A, self.a, self.b, self.c, self.d)
+    scan = lambda self, A: _cross_tally_scan(A, self.a, self.b, self.c, self.d)  # no max_* form
+    avoider = lambda self, n: _full_rows(n, self.a - 1)
+
+
+class AllOnes(PatternClass):
+    _fields = ("k", "l")
+    label = "allones"
+    read = lambda P: (P.rows, P.cols)
+    build = all_ones
+    contains = lambda self, A: contains_allones(A, self.k, self.l)
+    # The paper's counters, over the subsets of size min(k, l) of one axis.
+    scan = lambda self, A: (max_allones_rows(A, self.l) >= self.k if self.l <= self.k
+                            else max_allones_rows(transpose(A), self.k) >= self.l)
+    avoider = lambda self, n: _full_rows(n, self.k - 1)
+    # J2 (Reiman 1958): two rows share at most one column, so the column
+    # sums d_j of e ones satisfy sum C(d_j, 2) <= C(m, 2), and by Jensen
+    # e(e - n) <= n m(m - 1); the same holds with rows and columns swapped.
+    bound = lambda self, m, n: (min(_pair_bound(m, n), _pair_bound(n, m))
+                                if self.k == self.l == 2 else m * n)
+
+
+class General(PatternClass):
+    """No family fits: dispatch runs the oracle, and bench has no avoider."""
+
+
+# The families in canonical priority: a pattern is in the first that fits.
+PATTERN_SHAPES = (ColumnOnes, RowOnes, AllOnes, Identity, TupleIdentity, LShape, Cross)
+
+# The scan labels in definition order, and the selectors: those, dispatch (auto) and the oracle.
+LABELS = tuple(dict.fromkeys(c.label for c in PatternClass.__subclasses__() if c is not General))
 ALGOS = ("auto", "naive", *LABELS)
 
 
-def family_of(P: BitMatrix):
-    """(P's entry in ``FAMILIES``, the fields its callables take), or None for a General P."""
-    shape = classify_pattern(P)
-    family = FAMILIES.get(type(shape))
-    return (family, tuple(vars(shape).values())) if family else None
+def fit(P: BitMatrix, shapes=PATTERN_SHAPES):
+    """P classified as the first of ``shapes`` whose factory rebuilds it, else None.
+
+    ``_classify`` passes every shape, ``match_label`` only those of one label.
+    """
+    for shape in shapes:
+        fields = shape.read(P)
+        if fields is not None and shape.build(*fields) == P:
+            return shape(*fields)
+    return None
 
 
-def route_label(P: BitMatrix) -> str:
-    """The label dispatch routes P to: its family's, or naive for the oracle."""
-    found = family_of(P)
-    return found[0].label if found else "naive"
+CLASSIFY_CACHE_CELLS = 1024  # larger patterns are classified afresh, not kept alive
+
+
+def classify_pattern(P: BitMatrix) -> PatternClass:
+    """Most specific shape class of P under the canonical priority order.
+
+    Patterns of up to CLASSIFY_CACHE_CELLS cells are memoized in a bounded
+    LRU cache keyed by their dimensions and cells; the classes are
+    immutable, so callers may share them.
+    """
+    if len(P.cells) > CLASSIFY_CACHE_CELLS:
+        return _classify(P)
+    return _classify_cached(P.rows, P.cols, P.cells)
+
+
+def _classify(P: BitMatrix) -> PatternClass:
+    return fit(P) or General()
+
+
+@lru_cache(maxsize=4096)
+def _classify_cached(rows: int, cols: int, cells: bytes) -> PatternClass:
+    return _classify(BitMatrix(rows, cols, cells))
 
 
 def upper_bound(P: BitMatrix):
     """(m, n) -> a proven bound on an m x n avoider's ones: P's family's ``bound``, else m*n."""
-    family, fields = family_of(P) or (Family, ())
-    return lambda m, n: m * n if m < P.rows or n < P.cols else family.bound(m, n, *fields)
+    shape = classify_pattern(P)
+    return lambda m, n: m * n if m < P.rows or n < P.cols else shape.bound(m, n)
 
 
 def match_label(label: str, P: BitMatrix):
-    """(family, fields) of the first family under ``label`` whose factory rebuilds P, else None.
+    """P classified as the first family under ``label`` whose factory rebuilds it, else None.
 
-    ``matrix.fit`` runs on the label's shapes alone, so it builds only their
+    ``fit`` runs on the label's families alone, so it builds only their
     factories, and not by canonical priority: ``identity`` fits the 1x1
     pattern although it classifies as a column of ones, and ``column`` fits
     a row of ones, whose family shares that label.
     """
-    found = fit(P, [entry for entry in PATTERN_SHAPES if FAMILIES[entry[0]].label == label])
-    return (FAMILIES[found[0]], found[1]) if found else None
+    return fit(P, [shape for shape in PATTERN_SHAPES if shape.label == label])
 
 
 def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
@@ -535,11 +608,8 @@ def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
         bound = bounds.get((A.rows, P))
         if bound is not None and ones_prefilter(A, bound) is PrefilterResult.CONTAINS:
             return True
-    found = family_of(P)
-    if found is None:
-        return contains_naive(A, P)
-    family, fields = found
-    return family.contains(A, *fields)
+    shape = classify_pattern(P)
+    return contains_naive(A, P) if type(shape) is General else shape.contains(A)
 
 
 def decider(algo: str, P: BitMatrix, full_scan: bool = False):
@@ -554,9 +624,7 @@ def decider(algo: str, P: BitMatrix, full_scan: bool = False):
         return lambda A: contains_naive(A, P)
     if algo not in LABELS:
         raise BenchConfigError(f"unknown algorithm label {algo!r}")
-    fit = match_label(algo, P)
-    if fit is None:
+    shape = match_label(algo, P)
+    if shape is None:
         raise BenchConfigError(f"pattern does not fit the {algo!r} algorithm")
-    family, fields = fit
-    run = family.scan if full_scan else family.contains
-    return lambda A: run(A, *fields)
+    return shape.scan if full_scan else shape.contains

@@ -1,4 +1,4 @@
-"""0-1 matrices, their text formats, and pattern-shape classification.
+"""0-1 matrices, the factories of the pattern families, and the text formats.
 
 Every layer of the package works on one representation: ``BitMatrix``, an
 immutable dense matrix stored row-major with 1-based ``get(r, c)`` access.
@@ -6,30 +6,20 @@ The sparse text format is only a file format; it parses into a BitMatrix.
 Kernels that work on whole rows or columns read them as Python ints from
 ``row_masks``/``column_masks``, packed one at a time as they are read.
 
-``classify_pattern`` recognizes the pattern families that have specialized
-containment scans. A family's shape is described once, by its factory
-(``all_ones``, ``identity``, ``lshape``, ...): each entry of
-``PATTERN_SHAPES`` reads the only fields P could have from its size (for a
-cross, its first full row and column), and ``fit`` is the one loop that
-finds the first entry whose factory rebuilds P. Families overlap (a single 1
-is a column of ones, an identity, a cross, ...), so the first entry that
-fits, in the priority column-ones, row-ones, all-ones, identity, tuple
-identity, L-shape, cross, names P's one canonical class; ``General`` when
-none fits. ``fast.match_label`` runs ``fit`` on one label's entries. Small
-patterns are classified once and then served from a bounded cache. What each
-family is decided, timed and avoided with lives in the family table of
-``fast.py``.
+``BitMatrix`` and the package's other records, the pattern classes of
+``fast.py`` among them, are ``Frozen`` values: plain classes with the
+equality, hashing, repr and immutability of frozen dataclasses, which would
+cost every ``patcon check`` process the import of ``dataclasses`` and the
+generation of their methods.
 
-``BitMatrix``, the pattern classes and the package's other records are
-``Frozen`` values: plain classes with the equality, hashing, repr and
-immutability of frozen dataclasses, which would cost every ``patcon check``
-process the import of ``dataclasses`` and the generation of their methods.
+The factories (``all_ones``, ``identity``, ``lshape``, ...) build each
+family's pattern. Each family is described in one place, its
+``PatternClass`` subclass in ``fast.py``, beside ``classify_pattern``
+(``matrix.classify_pattern`` still resolves there); a new family is that
+class and its name in the export table of ``__init__.py``.
 """
 
 from __future__ import annotations
-
-import re
-from functools import lru_cache
 
 
 class MatrixFormatError(ValueError):
@@ -197,106 +187,14 @@ def column_masks(M: BitMatrix):
     return (bitmask(M.column(c)) for c in range(1, M.cols + 1))
 
 
-# --- pattern classification -------------------------------------------------
+def __getattr__(name):
+    """``classify_pattern`` lives in ``fast``; bound here on first use (PEP 562)."""
+    if name != "classify_pattern":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fast import classify_pattern
 
-
-class PatternClass(Frozen):
-    """Base class of the pattern-shape classifications."""
-
-    def __str__(self) -> str:
-        """The ``classify`` text: the class name in kebab case, then field=value pairs."""
-        name = re.sub(r"(?<=[a-z])(?=[A-Z])", "-", type(self).__name__).lower()
-        return " ".join([name, *(f"{field}={value}" for field, value in vars(self).items())])
-
-
-class ColumnOnes(PatternClass):
-    _fields = ("k",)
-
-
-class RowOnes(PatternClass):
-    _fields = ("w",)
-
-
-class AllOnes(PatternClass):
-    _fields = ("k", "l")
-
-
-class Identity(PatternClass):
-    _fields = ("k",)
-
-
-class TupleIdentity(PatternClass):
-    _fields = ("j", "k")
-
-
-class LShape(PatternClass):
-    _fields = ("h", "w")
-
-
-class Cross(PatternClass):
-    _fields = ("a", "b", "c", "d")
-
-
-class General(PatternClass):
-    pass
-
-
-def _cross_center(P: BitMatrix):
-    """(a, b, c, d) for P's first full row c and first full column d, else None."""
-    c = next((r for r in range(1, P.rows + 1) if P.row(r).count(1) == P.cols), 0)
-    d = c and next((x for x in range(1, P.cols + 1) if P.column(x).count(1) == P.rows), 0)
-    return (P.rows, P.cols, c, d) if d else None
-
-
-# In canonical priority: (class, the only fields a pattern of P's size could
-# have, or None, and the factory that builds the class's pattern from them).
-PATTERN_SHAPES = (
-    (ColumnOnes, lambda P: (P.rows,) if P.cols == 1 else None, lambda k: all_ones(k, 1)),
-    (RowOnes, lambda P: (P.cols,) if P.rows == 1 else None, lambda w: all_ones(1, w)),
-    (AllOnes, lambda P: (P.rows, P.cols), all_ones),
-    (Identity, lambda P: (P.rows,) if P.rows == P.cols else None, identity),
-    (TupleIdentity, lambda P: (P.rows // P.cols, P.cols) if P.rows % P.cols == 0 else None,
-     tuple_identity),
-    (LShape, lambda P: (P.rows, P.cols), lshape),
-    (Cross, _cross_center, cross),
-)
-
-
-def fit(P: BitMatrix, shapes=PATTERN_SHAPES):
-    """(class, fields) of the first of ``shapes`` whose factory rebuilds P, else None.
-
-    ``_classify`` passes every shape, ``fast.match_label`` only those of one label.
-    """
-    for shape, fields_of, build in shapes:
-        fields = fields_of(P)
-        if fields is not None and build(*fields) == P:
-            return shape, fields
-    return None
-
-
-CLASSIFY_CACHE_CELLS = 1024  # larger patterns are classified afresh, not kept alive
-
-
-def classify_pattern(P: BitMatrix) -> PatternClass:
-    """Most specific shape class of P under the canonical priority order.
-
-    Patterns of up to CLASSIFY_CACHE_CELLS cells are memoized in a bounded
-    LRU cache keyed by their dimensions and cells; the classes are
-    immutable, so callers may share them.
-    """
-    if len(P.cells) > CLASSIFY_CACHE_CELLS:
-        return _classify(P)
-    return _classify_cached(P.rows, P.cols, P.cells)
-
-
-def _classify(P: BitMatrix) -> PatternClass:
-    found = fit(P)
-    return found[0](*found[1]) if found else General()
-
-
-@lru_cache(maxsize=4096)
-def _classify_cached(rows: int, cols: int, cells: bytes) -> PatternClass:
-    return _classify(BitMatrix(rows, cols, cells))
+    globals()[name] = classify_pattern  # later lookups skip __getattr__
+    return classify_pattern
 
 
 # --- text formats -----------------------------------------------------------

@@ -181,6 +181,15 @@ class TestBenchCompare:
         with pytest.raises(BenchConfigError):
             bench_compare(["quantum"], identity(2), [8, 16], 0.5, 1, 3)
 
+    def test_falling_medians_warn_like_the_cli(self, monkeypatch, capsys):
+        import patcon.bench
+
+        clock = iter([0.0, 2.0] * 3 + [0.0, 1.0] * 3)  # start and end of each timed run
+        monkeypatch.setattr(patcon.bench, "perf_counter", lambda: next(clock))
+        bench_compare(["naive"], identity(2), [8, 16], 0.5, 1, 3)
+        assert capsys.readouterr().err == (
+            "patcon: warning: median times for naive are not nondecreasing in n: [2.0, 1.0]\n")
+
     def test_bad_config(self):
         with pytest.raises(BenchConfigError):
             bench_compare(["naive"], identity(2), [16, 8], 0.5, 1, 3)

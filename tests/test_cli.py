@@ -460,6 +460,40 @@ class TestExtremal:
         w3 = parse_matrix((wdir / "witness_n3.txt").read_text())
         assert w3 == loaded[2][2]
 
+    @pytest.mark.parametrize("option, where", [
+        ("--cache-out", "."),  # a directory
+        ("--cache-out", "missing/cache.txt"),
+        ("--cache-out", "p.txt/cache.txt"),  # under a file
+        ("--witness-out", "p.txt"),  # a file
+    ])
+    def test_bad_output_path_fails_before_any_search(self, files, tmp_path, capsys, monkeypatch,
+                                                     option, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched before checking an output path")
+
+        monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
+        p = files("p.txt", identity(2))
+        path = os.path.normpath(tmp_path / where)
+        # the error open() or makedirs() raises when it is reached after the searches
+        with pytest.raises(OSError) as exc:
+            os.makedirs(path) if option == "--witness-out" else open(path, "w")
+        code = main(["extremal", "--pattern", p, "--n-max", "3", option, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"patcon: error: {exc.value}\n"
+
+    def test_output_check_creates_and_truncates_nothing(self, files, tmp_path, capsys):
+        p = files("p.txt", identity(2))
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("kept\n")
+        for cache in (new, old):
+            # the search stops at its node budget, so no cache is written
+            assert main(["extremal", "--pattern", p, "--n", "3", "--node-budget", "1",
+                         "--cache-out", str(cache)]) == 3
+        capsys.readouterr()
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
 
 class TestBench:
     def test_csv_and_exponent_output(self, files, tmp_path, capsys):
@@ -527,6 +561,20 @@ class TestBench:
             f"patcon: error: [Errno 2] No such file or directory: '{csv}'\n"
         )
         assert not csv.parent.exists()
+
+    def test_csv_directory_fails_before_generating(self, files, tmp_path, capsys, monkeypatch):
+        import patcon.bench
+
+        def refuse(*args):
+            raise AssertionError("generated inputs for an unwritable --csv")
+
+        monkeypatch.setattr(patcon.bench, "gen_random", refuse)
+        p = files("p.txt", identity(2))
+        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3",
+                     "--csv", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"patcon: error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_bad_sizes_exit_two(self, files, tmp_path, capsys):
         p = files("p.txt", identity(2))

@@ -31,7 +31,6 @@ from patcon import (
 )
 from patcon import extremal
 from patcon.extremal import upper_bound
-from patcon.fast import FAMILIES, Family
 
 from helpers import all_patterns_up_to, ex_reference
 
@@ -161,11 +160,9 @@ class TestAgainstReferenceSearch:
 
 
 def with_bound(monkeypatch, cls, shift):
-    """Replace the bound of family ``cls`` in FAMILIES by that bound plus ``shift``."""
-    family = FAMILIES[cls]
-    bound = family.bound
-    monkeypatch.setitem(FAMILIES, cls, Family(**{
-        **vars(family), "bound": lambda m, n, *fields: bound(m, n, *fields) + shift}))
+    """Replace the bound of family ``cls`` by that bound plus ``shift``."""
+    bound = cls.bound
+    monkeypatch.setattr(cls, "bound", lambda self, m, n: bound(self, m, n) + shift)
 
 
 class TestStoppingBound:
@@ -239,12 +236,11 @@ class TestBoundTable:
         (Identity, identity),
     ])
     def test_bound_is_tight_for_the_family_avoider(self, cls, P):
-        family = FAMILIES[cls]
         for k in (2, 3, 4):
             for n in range(k, 9):
-                avoider = family.avoider(n, k)
+                avoider = cls(k).avoider(n)
                 assert not contains_naive(avoider, P(k)), (k, n)
-                assert count_ones(avoider) == family.bound(n, n, k), (k, n)
+                assert count_ones(avoider) == cls(k).bound(n, n), (k, n)
 
     def test_pair_bound_is_the_zarankiewicz_table(self):
         bound = upper_bound(all_ones(2, 2))
@@ -254,7 +250,7 @@ class TestBoundTable:
 
     def test_pattern_that_does_not_fit_is_guarded(self):
         # The identity formula falls below m*n, and below 0, where I_k does not fit.
-        assert FAMILIES[Identity].bound(1, 1, 4) == -3
+        assert Identity(4).bound(1, 1) == -3
         assert upper_bound(identity(4))(1, 1) == 1
         assert ex_exact(2, identity(3)).value == 4
         assert ex_exact(3, identity(3)).strip[0] == 3

@@ -40,8 +40,7 @@ from patcon import (
 
 from patcon import fast
 from patcon.bench import gen_avoider
-from patcon.fast import FAMILIES, LABELS, match_label
-from patcon.matrix import RowOnes, classify_pattern
+from patcon.fast import LABELS, RowOnes, classify_pattern, match_label
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
 from test_matrix import bit_matrices
@@ -379,11 +378,10 @@ class TestEveryRoute:
         want = contains_naive(A, P)
         assert dispatch(A, P) == want
         for label in LABELS:
-            fit = match_label(label, P)
-            if fit is not None:
-                family, fields = fit
-                assert family.contains(A, *fields) == want, label
-                assert family.scan(A, *fields) == want, label
+            shape = match_label(label, P)
+            if shape is not None:
+                assert shape.contains(A) == want, label
+                assert shape.scan(A) == want, label
 
     @given(st.integers(1, 4).flatmap(lambda n: bit_matrices(n, n, min_rows=n, min_cols=n)),
            st.sampled_from(FAMILY_PATTERNS))
@@ -400,7 +398,7 @@ class TestEveryRoute:
 # Kernel parameters beyond criterion 1's set, each with the pattern it decides.
 KERNEL_CASES = (
     [(contains_column_ones, (k,), all_ones(k, 1)) for k in range(1, 6)]
-    + [(FAMILIES[RowOnes].contains, (w,), all_ones(1, w)) for w in range(1, 6)]
+    + [(RowOnes(w).contains, (), all_ones(1, w)) for w in range(1, 6)]
     + [(contains_identity, (k,), identity(k)) for k in range(1, 6)]
     + [(contains_tuple_identity, (j, k), tuple_identity(j, k))
        for j in range(1, 4) for k in range(1, 4)]
@@ -443,12 +441,10 @@ class TestKernels:
                     all_ones(3, 2)]
         for P in patterns:
             shape = classify_pattern(P)
-            family = FAMILIES[type(shape)]
-            fields = shape.__dict__.values()
             avoider = gen_avoider(n, P)
             for A, want in ((avoider, False), (self._planted(avoider, P, rng), True)):
-                assert family.contains(A, *fields) is want, (str(shape), want)
-                assert family.scan(A, *fields) is want, (str(shape), want)
+                assert shape.contains(A) is want, (str(shape), want)
+                assert shape.scan(A) is want, (str(shape), want)
 
     def test_line_routes_read_only_row_masks(self, monkeypatch):
         """Column and row of ones are decided without transpose or a strided column copy."""
@@ -466,7 +462,7 @@ class TestKernels:
         for A, P, want in cases:
             shape = classify_pattern(P)
             assert dispatch(A, P) is want, str(shape)
-            assert FAMILIES[type(shape)].contains(A, *shape.__dict__.values()) is want, str(shape)
+            assert shape.contains(A) is want, str(shape)
 
 
 class TestReductions:

@@ -33,7 +33,7 @@ from patcon import (
 
 from patcon.bench import BenchReport, gen_random
 from patcon.extremal import ExtremalRecord
-from patcon.fast import FAMILIES, LABELS, Family, match_label
+from patcon.fast import LABELS, match_label
 from patcon.matrix import column_masks, row_masks
 
 from helpers import all_matrices, serialize_sparse_reference
@@ -317,10 +317,8 @@ def test_classification_and_label_fits_pinned_on_small_patterns():
                     fit = match_label(label, P)
                     if fit is not None:
                         fits[label] += 1
-                        family, fields = fit
-                        shape_class = next(k for k, v in FAMILIES.items() if v is family)
-                        assert family.label == label
-                        assert FACTORIES[shape_class](*fields) == P, (label, fields)
+                        assert fit.label == label
+                        assert FACTORIES[type(fit)](*vars(fit).values()) == P, (label, fit)
     assert total == 9418
     assert classes == {
         "all-ones": 8, "column-ones": 4, "cross": 57, "general": 9335,
@@ -361,7 +359,7 @@ class TestValueSemantics:
     def test_fields_cannot_be_assigned(self):
         M, shape = identity(2), classify_pattern(lshape(3, 2))
         rec = ExtremalRecord(1, M, 0, zeros(1, 1))
-        for value, field in ((M, "rows"), (shape, "h"), (rec, "value"), (FAMILIES[LShape], "label")):
+        for value, field in ((M, "rows"), (shape, "h"), (rec, "value"), (shape, "label")):
             with pytest.raises(AttributeError):
                 setattr(value, field, 9)
             with pytest.raises(AttributeError):
@@ -402,8 +400,6 @@ class TestValueSemantics:
             "BenchReport(algo='identity', measurements=((8, 0.5, 3),), exponent=None, seed=1, "
             "runs=())"
         )
-        assert repr(Family("x", 1, 2, 3, 4)) == (
-            "Family(label='x', contains=1, scan=2, avoider=3, bound=4)")
 
     def test_classification_is_shared_and_immutable(self):
         P = BitMatrix.from_rows([[1, 0], [0, 1]])
@@ -414,6 +410,41 @@ class TestValueSemantics:
         assert str(classify_pattern(identity(2))) == "identity k=2"
         big = identity(40)  # over the cache's cell limit: classified afresh, same value
         assert classify_pattern(big) == classify_pattern(identity(40)) == Identity(40)
+
+
+def test_pattern_families_are_exported_from_fast():
+    import patcon
+    from patcon import fast, matrix
+    from patcon.matrix import classify_pattern
+
+    assert classify_pattern is matrix.classify_pattern is fast.classify_pattern
+    assert patcon.classify_pattern is fast.classify_pattern
+    families = fast.PatternClass.__subclasses__()
+    assert {cls.__name__ for cls in families} == {
+        "AllOnes", "ColumnOnes", "Cross", "General", "Identity", "LShape", "RowOnes",
+        "TupleIdentity"}
+    for cls in (fast.PatternClass, *families):
+        assert getattr(patcon, cls.__name__) is cls
+        assert cls.__name__ in patcon.__all__
+    with pytest.raises(AttributeError):
+        matrix.no_such_name
+
+
+def test_matrix_classify_pattern_imports_first():
+    """``from patcon.matrix import classify_pattern`` in a fresh process, before ``fast``."""
+    import os
+    import subprocess
+    import sys
+
+    import patcon
+
+    code = ("from patcon.matrix import classify_pattern, identity; import patcon.fast; "
+            "assert classify_pattern is patcon.fast.classify_pattern; "
+            "print(classify_pattern(identity(2)))")
+    src = os.path.dirname(os.path.dirname(patcon.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "identity k=2\n"
 
 
 def test_every_export_resolves():

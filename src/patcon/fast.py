@@ -38,9 +38,9 @@ served from a bounded cache. ``match_label`` runs ``fit`` on one label's
 families, for ``decider`` (the ``--algo``/``--algos`` selectors).
 ``dispatch``, ``upper_bound`` (where the extremal search stops) and
 ``bench``'s avoiders call the classified pattern's methods, and its
-``label`` names the route ``check`` prints. A
-new family is one class here and its name in the export table of
-``__init__.py``. The methods look the kernels and scans up as module
+``label`` names the route ``check`` prints. A new family is one class here
+and its name in the export table of ``__init__.py``. The methods look the
+kernels and scans up, and their callers ``classify_pattern``, as module
 globals at call time. Every ``check`` imports this module, so it keeps to
 cheap imports: the classes are ``matrix.Frozen`` values rather than
 dataclasses, and ``BenchConfigError``, which ``decider`` raises, is defined

@@ -32,10 +32,10 @@ def _read_matrix(path: str) -> BitMatrix:
 def _check_writable(path: str) -> None:
     """Raise the OSError ``open(path, "w")`` would, without creating or truncating the file.
 
-    A directory, a missing parent directory or an existing file that cannot
-    be written fails here, before the command's work, with open()'s message.
+    An empty path, a directory, a missing parent directory or an existing file
+    that cannot be written fails here, before the command's work, with open()'s message.
     """
-    if not os.path.exists(path) and os.path.isdir(os.path.dirname(path) or "."):
+    if path and not os.path.exists(path) and os.path.isdir(os.path.dirname(path) or "."):
         return  # open() would create the file
     os.close(os.open(path, os.O_WRONLY))  # without O_CREAT or O_TRUNC
 
@@ -83,38 +83,43 @@ def cmd_extremal(args) -> int:
         raise ValueError("n-max must be positive")
     if budget < 1:
         raise ValueError("node-budget must be positive")
-    if args.cache_out:
+    if args.cache_out is not None:
         _check_writable(args.cache_out)
-    if args.witness_out:
-        os.makedirs(args.witness_out, exist_ok=True)
+    made = args.witness_out and not os.path.isdir(args.witness_out)
+    if made:
+        os.makedirs(args.witness_out)
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0
-    for n in ns:
-        try:
-            rec = ex_exact(n, P, node_budget=budget)
-        except SearchBudgetExceeded as exc:
-            print(f"ex({n},P) inconclusive: {exc}", file=sys.stderr)
-            status = 3
-            break
-        print(f"ex({n},P) = {rec.value}")
-        print(
-            f"ex({n},P): {rec.nodes} search nodes, "
-            f"{100 * rec.nodes / budget:.2f}% of the node budget",
-            file=sys.stderr,
-        )
-        print(f"ex({n},P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
-              f"{rec.cut_symmetry} by symmetry; strip table ex(m x {n},P), m < {n}: "
-              f"{' '.join(map(str, rec.strip)) or 'none'}", file=sys.stderr)
-        if rec.closed:
-            print(f"ex({n},P): {rec.closed} of {rec.searches} searches closed at a proven upper "
-                  f"bound ({rec.cap} for the n x n search)", file=sys.stderr)
-        records.append(rec)
+    try:
+        for n in ns:
+            try:
+                rec = ex_exact(n, P, node_budget=budget)
+            except SearchBudgetExceeded as exc:
+                print(f"ex({n},P) inconclusive: {exc}", file=sys.stderr)
+                status = 3
+                break
+            print(f"ex({n},P) = {rec.value}")
+            print(
+                f"ex({n},P): {rec.nodes} search nodes, "
+                f"{100 * rec.nodes / budget:.2f}% of the node budget",
+                file=sys.stderr,
+            )
+            print(f"ex({n},P): cut {rec.cut_contained} by containment, {rec.cut_bound} by bound, "
+                  f"{rec.cut_symmetry} by symmetry; strip table ex(m x {n},P), m < {n}: "
+                  f"{' '.join(map(str, rec.strip)) or 'none'}", file=sys.stderr)
+            if rec.closed:
+                print(f"ex({n},P): {rec.closed} of {rec.searches} searches closed at a proven "
+                      f"upper bound ({rec.cap} for the n x n search)", file=sys.stderr)
+            records.append(rec)
+    finally:
+        if made and not records:  # no witness goes into the directory this command made
+            os.rmdir(args.witness_out)
     if args.witness_out:
         for rec in records:
             with open(os.path.join(args.witness_out, f"witness_n{rec.n}.txt"), "w") as fh:
                 fh.write(serialize(rec.witness))
-    if args.cache_out and records:
+    if args.cache_out is not None and records:
         save_cache(records, args.cache_out)
     return status
 

@@ -95,30 +95,6 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
 # --- identity and tuple identity ----------------------------------------------
 
 
-def _tuple_scan(A: BitMatrix, j: int) -> int:
-    """Rolling two-column form of the suffix program; returns the maximum width."""
-    R, C = A.rows, A.cols
-    nxt = [0] * (R + 2)
-    cur = [0] * (R + 2)
-    for c in range(C, 0, -1):
-        col = A.column(c)
-        one_rows = []
-        for r in range(R, 0, -1):
-            v = cur[r + 1]
-            w = nxt[r]
-            if w > v:
-                v = w
-            if col[r - 1]:
-                one_rows.append(r)
-                if len(one_rows) >= j:
-                    t = 1 + nxt[one_rows[-j] + 1]
-                    if t > v:
-                        v = t
-            cur[r] = v
-        nxt, cur = cur, nxt
-    return nxt[1]
-
-
 def _block_chain(masks, j: int, k: int) -> bool:
     """True iff k of the masks, in order, each give j set bits, every block above the last.
 
@@ -148,7 +124,7 @@ def _block_chain(masks, j: int, k: int) -> bool:
 
 def max_identity(A: BitMatrix) -> int:
     """Largest k such that A contains the k x k identity (0 for all-zero A)."""
-    return _tuple_scan(A, 1)
+    return max_tuple_identity_width(A, 1)
 
 
 def contains_identity(A: BitMatrix, k: int) -> bool:
@@ -161,10 +137,29 @@ def contains_identity(A: BitMatrix, k: int) -> bool:
 
 
 def max_tuple_identity_width(A: BitMatrix, j: int) -> int:
-    """Largest k such that A contains the jk x k tuple identity."""
+    """Largest k such that A contains the jk x k tuple identity: the suffix program, two columns kept."""
     if j < 1:
         raise ValueError("j must be positive")
-    return _tuple_scan(A, j)
+    R, C = A.rows, A.cols
+    nxt = [0] * (R + 2)
+    cur = [0] * (R + 2)
+    for c in range(C, 0, -1):
+        col = A.column(c)
+        one_rows = []
+        for r in range(R, 0, -1):
+            v = cur[r + 1]
+            w = nxt[r]
+            if w > v:
+                v = w
+            if col[r - 1]:
+                one_rows.append(r)
+                if len(one_rows) >= j:
+                    t = 1 + nxt[one_rows[-j] + 1]
+                    if t > v:
+                        v = t
+            cur[r] = v
+        nxt, cur = cur, nxt
+    return nxt[1]
 
 
 def contains_tuple_identity(A: BitMatrix, j: int, k: int) -> bool:
@@ -189,8 +184,6 @@ def max_lshape_height(A: BitMatrix, w: int) -> int:
     """
     if w < 1:
         raise ValueError("w must be positive")
-    if w > A.cols:
-        return 0
     counters = [0] * A.cols
     for r in range(A.rows, 0, -1):
         xs = [i for i, v in enumerate(A.row(r)) if v]
@@ -299,8 +292,6 @@ def max_allones_rows(A: BitMatrix, t: int) -> int:
     """
     if t < 1:
         raise ValueError("t must be positive")
-    if t > A.cols:
-        return 0
     counters: dict = {}
     best = 0
     for r in range(1, A.rows + 1):

@@ -6,7 +6,7 @@ oracle (which enumerates rows only and matches columns greedily), so the two
 can validate each other.
 
 ``identity_dp`` is the identity dynamic program with its full suffix table
-kept, the reference for the rolling two-column form in ``fast._tuple_scan``.
+kept, the reference for the rolling two-column form in ``fast.max_tuple_identity_width``.
 
 ``gen_random_reference`` and ``serialize_sparse_reference`` are the plain
 per-cell forms of ``bench.gen_random`` and ``matrix.serialize_sparse``: one

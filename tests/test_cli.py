@@ -494,6 +494,40 @@ class TestExtremal:
         assert not new.exists()
         assert old.read_text() == "kept\n"
 
+    def test_empty_cache_out_fails_before_any_search(self, files, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched before checking an output path")
+
+        monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
+        p = files("p.txt", identity(2))
+        with pytest.raises(OSError) as exc:
+            open("", "w")
+        code = main(["extremal", "--pattern", p, "--n-max", "3", "--cache-out", ""])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"patcon: error: {exc.value}\n"
+
+    @pytest.mark.parametrize("pattern, argv, code", [
+        (identity(2), ["--n", "0"], 2),
+        (zeros(2, 2), ["--n", "2"], 2),  # no avoider exists
+        (identity(2), ["--n", "3", "--node-budget", "1"], 3),
+    ], ids=["n-zero", "all-zero-pattern", "budget-stop"])
+    def test_witness_directory_made_for_no_witness_is_removed(self, files, tmp_path, capsys,
+                                                              pattern, argv, code):
+        p = files("p.txt", pattern)
+        wdir = tmp_path / "wit"
+        assert main(["extremal", "--pattern", p, *argv, "--witness-out", str(wdir)]) == code
+        capsys.readouterr()
+        assert not wdir.exists()
+
+    def test_existing_witness_directory_is_kept(self, files, tmp_path, capsys):
+        p = files("p.txt", zeros(2, 2))
+        wdir = tmp_path / "wit"
+        wdir.mkdir()
+        assert main(["extremal", "--pattern", p, "--n", "2", "--witness-out", str(wdir)]) == 2
+        capsys.readouterr()
+        assert wdir.is_dir() and not any(wdir.iterdir())
+
 
 class TestBench:
     def test_csv_and_exponent_output(self, files, tmp_path, capsys):
@@ -575,6 +609,19 @@ class TestBench:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"patcon: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_empty_csv_path_fails_before_generating(self, files, capsys, monkeypatch):
+        import patcon.bench
+
+        def refuse(*args):
+            raise AssertionError("generated inputs for an unwritable --csv")
+
+        monkeypatch.setattr(patcon.bench, "gen_random", refuse)
+        p = files("p.txt", identity(2))
+        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3", "--csv", ""])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "patcon: error: [Errno 2] No such file or directory: ''\n"
 
     def test_bad_sizes_exit_two(self, files, tmp_path, capsys):
         p = files("p.txt", identity(2))

@@ -85,7 +85,7 @@ def cmd_extremal(args) -> int:
         raise ValueError("node-budget must be positive")
     if args.cache_out is not None:
         _check_writable(args.cache_out)
-    made = args.witness_out and not os.path.isdir(args.witness_out)
+    made = args.witness_out is not None and not os.path.isdir(args.witness_out)
     if made:
         os.makedirs(args.witness_out)
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
@@ -115,7 +115,7 @@ def cmd_extremal(args) -> int:
     finally:
         if made and not records:  # no witness goes into the directory this command made
             os.rmdir(args.witness_out)
-    if args.witness_out:
+    if args.witness_out is not None:
         for rec in records:
             with open(os.path.join(args.witness_out, f"witness_n{rec.n}.txt"), "w") as fh:
                 fh.write(serialize(rec.witness))

@@ -2,12 +2,16 @@
 
 Each recognized pattern family has two deciders. The ``contains_*``
 functions are word-level kernels on rows or columns of A packed into Python
-ints (``matrix.row_masks``/``column_masks``, packed as they are read, so an
-early exit reads only the rows it needs):
+ints (``matrix.row_masks``/``column_masks``, cell i of a line at bit 8i,
+packed as they are read, so an early exit reads only the rows it needs; the
+kernels use only bit operations that keep the cells' order, so the spacing
+changes none of them):
 
 * identity              -- patience sorting over row masks: the lowest column
                            ending a chain of each length
-* tuple identity        -- the same over column masks, j rows per step
+* tuple identity        -- bit-sliced counters over row masks, one level per
+                           block: the columns with at least i ones of the
+                           block since the block before it closed to their left
 * L-shape and cross     -- bit-sliced "at least i ones above/below" masks,
                            ANDed with each row's ones that have enough ones
                            to their left and right; a column of ones is the
@@ -95,21 +99,19 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
 # --- identity and tuple identity ----------------------------------------------
 
 
-def _block_chain(masks, j: int, k: int) -> bool:
-    """True iff k of the masks, in order, each give j set bits, every block above the last.
+def _block_chain(masks, k: int) -> bool:
+    """True iff k of the masks, in order, each give a set bit above the last one's.
 
     Patience sorting over the masks: ``ends[t]`` is the lowest single bit at
-    which a chain of t+1 blocks can end among the masks read so far. A mask
-    extends the chain of each length with its j lowest bits above that
-    chain's end; longer chains go first, so an extension reads only ends
-    that earlier masks set. Each mask costs O(j k) operations on its int.
+    which a chain of t+1 bits can end among the masks read so far. A mask
+    extends the chain of each length with its lowest bit above that chain's
+    end; longer chains go first, so an extension reads only ends that earlier
+    masks set. Each mask costs O(k) operations on its int.
     """
     ends = []
     for m in masks:
         for t in range(min(len(ends), k - 1), -1, -1):
             free = m & -(ends[t - 1] << 1) if t else m
-            for _ in range(j - 1):
-                free &= free - 1
             end = free & -free
             if not end:
                 continue
@@ -119,6 +121,34 @@ def _block_chain(masks, j: int, k: int) -> bool:
                 ends.append(end)
             elif end < ends[t]:
                 ends[t] = end
+    return False
+
+
+def _block_levels(masks, j: int, k: int) -> bool:
+    """True iff the row masks hold k blocks of j ones in a column, each right of and below the last.
+
+    Level t counts the ones of block t+1 with bit-sliced counters: ``ge[t][i]``
+    is the mask of columns with at least i ones since the column opened, and
+    ``ge[t][0]`` the open columns, all of them for the first block. Once block
+    t+1 is complete in some column, every column right of the leftmost such
+    one opens for block t+2. Levels run from the last down, so a block
+    completed on a row opens the next level only from the following row.
+    Each row costs O(j k) operations on its int.
+    """
+    ge = [[0] * (j + 1) for _ in range(k)]
+    ge[0][0] = -1
+    for m in masks:
+        for t in range(k - 1, -1, -1):
+            level = ge[t]
+            if not level[0]:
+                continue
+            for i in range(j, 0, -1):
+                level[i] |= level[i - 1] & m
+            done = level[j]
+            if done:
+                if t + 1 == k:
+                    return True
+                ge[t + 1][0] |= -((done & -done) << 1)
     return False
 
 
@@ -133,7 +163,7 @@ def contains_identity(A: BitMatrix, k: int) -> bool:
         raise ValueError("k must be positive")
     if k > A.rows or k > A.cols:
         return False
-    return _block_chain(row_masks(A), 1, k)
+    return _block_chain(row_masks(A), k)
 
 
 def max_tuple_identity_width(A: BitMatrix, j: int) -> int:
@@ -168,7 +198,7 @@ def contains_tuple_identity(A: BitMatrix, j: int, k: int) -> bool:
         raise ValueError("j and k must be positive")
     if j * k > A.rows or k > A.cols:
         return False
-    return _block_chain(column_masks(A), j, k)
+    return _block_levels(row_masks(A), j, k)
 
 
 # --- L-shape and cross ----------------------------------------------------------
@@ -448,8 +478,16 @@ class RowOnes(PatternClass):
     build = lambda w: all_ones(1, w)
     contains = lambda self, A: contains_lshape(A, 1, self.w)
     scan = lambda self, A: max_column_ones(transpose(A)) >= self.w
-    avoider = lambda self, n: transpose(_full_rows(n, self.w - 1))
     bound = lambda self, m, n: (self.w - 1) * m  # each row holds at most w-1 ones
+
+    def avoider(self, n: int) -> BitMatrix:
+        """n x n matrix whose first w-1 columns are all ones: no row has w ones."""
+        if self.w < 2:
+            raise UnsupportedPatternError(
+                "only the all-zero matrix avoids a single 1; no dense avoider"
+            )
+        m = min(self.w - 1, n)
+        return BitMatrix(n, n, (b"\x01" * m + bytes(n - m)) * n)
 
 
 class Identity(PatternClass):

@@ -4,7 +4,8 @@ Every layer of the package works on one representation: ``BitMatrix``, an
 immutable dense matrix stored row-major with 1-based ``get(r, c)`` access.
 The sparse text format is only a file format; it parses into a BitMatrix.
 Kernels that work on whole rows or columns read them as Python ints from
-``row_masks``/``column_masks``, packed one at a time as they are read.
+``row_masks``/``column_masks``, packed one at a time as they are read by
+``int.from_bytes``, so the line's cell i sits at bit 8i.
 
 ``BitMatrix`` and the package's other records, the pattern classes of
 ``fast.py`` among them, are ``Frozen`` values: plain classes with the
@@ -169,21 +170,24 @@ def count_ones(M: BitMatrix) -> int:
     return M.cells.count(1)
 
 
-_BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def bitmask(cells: bytes) -> int:
-    """Pack 0/1 bytes into an int whose bit i is ``cells[i]``."""
-    return int(cells.translate(_BITS_TO_DIGITS)[::-1], 2)
+    """Pack 0/1 bytes into an int whose bit 8i is ``cells[i]``, every other bit 0.
+
+    The bytes read as one little-endian number. The packing preserves order:
+    cell i lies below cell i' in the int exactly when i < i', which is all the
+    kernels need (AND, OR, ``x & -x``, ``x & (x - 1)``, ``bit_length``,
+    ``bit_count`` and ``<< 1`` on a single bit keep their meaning).
+    """
+    return int.from_bytes(cells, "little")
 
 
 def row_masks(M: BitMatrix):
-    """Rows of M top to bottom as bitmasks (bit c-1 = column c), packed as they are read."""
+    """Rows of M top to bottom as bitmasks (bit 8(c-1) = column c), packed as they are read."""
     return (bitmask(M.row(r)) for r in range(1, M.rows + 1))
 
 
 def column_masks(M: BitMatrix):
-    """Columns of M left to right as bitmasks (bit r-1 = row r), packed as they are read."""
+    """Columns of M left to right as bitmasks (bit 8(r-1) = row r), packed as they are read."""
     return (bitmask(M.column(c)) for c in range(1, M.cols + 1))
 
 
@@ -208,7 +212,9 @@ def __getattr__(name):
 # R*C is capped at SPARSE_MAX_CELLS.
 
 SPARSE_MAX_CELLS = 1 << 26
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+# b"0" -> 0, b"1" -> 1, and every other byte -> 2, which no cell holds
+_DIGITS_TO_BITS = bytes({48: 0, 49: 1}.get(b, 2) for b in range(256))
+_BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -234,18 +240,17 @@ def _parse_dense(content) -> BitMatrix:
     width = len(content[0])
     # Faults are reported row by row: a bad character in a row above the first ragged one wins.
     ragged = next((i for i, ln in enumerate(content) if len(ln) != width), len(content))
-    text = "".join(content[:ragged])
-    digits = text.encode("ascii", "replace")  # a non-ASCII character becomes b"?", also invalid
-    if digits.translate(None, b"01"):
-        ch = next(ch for ch in text if ch not in "01")
+    # A non-ASCII character becomes b"?"; the joined text is freed once encoded.
+    digits = "".join(content[:ragged]).encode("ascii", "replace")
+    cells = digits.translate(_DIGITS_TO_BITS)  # one pass: any byte but "0" and "1" becomes 2
+    del digits
+    if 2 in cells:
+        ch = next(ch for ln in content[:ragged] for ch in ln if ch not in "01")
         raise MatrixFormatError(f"invalid character {ch!r} in dense row")
     if ragged < len(content):
         raise MatrixFormatError(
             f"ragged rows: expected width {width}, got {len(content[ragged])}"
         )
-    del text  # the joined rows, the ASCII digits and the cells would otherwise coexist
-    cells = digits.translate(_DIGITS_TO_BITS)
-    del digits
     return BitMatrix(len(content), width, cells)
 
 

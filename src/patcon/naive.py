@@ -32,7 +32,7 @@ def _pattern_column_rows(P: BitMatrix):
 
 
 def _column_needs(pat_cols, row_of):
-    """Row bitmask each pattern column needs when pattern row i sits on matrix row ``row_of[i]``."""
+    """Row bitmask each pattern column needs when pattern row i sits at column-mask bit ``row_of[i]``."""
     needs = []
     for rows_needed in pat_cols:
         m = 0
@@ -113,7 +113,7 @@ def contains_naive(A: BitMatrix, P: BitMatrix) -> bool:
         return contains_naive(transpose(A), transpose(P))
     colmasks = list(column_masks(A))
     pat_cols = _pattern_column_rows(P)
-    for sel in combinations(range(A.rows), P.rows):
+    for sel in combinations(range(0, 8 * A.rows, 8), P.rows):  # row r's bit in a column mask
         if _greedy_columns(colmasks, _column_needs(pat_cols, sel)):
             return True
     return False

@@ -83,6 +83,35 @@ class TestGenRandomStream:
         assert hashlib.sha256(gen_random(*args).cells).hexdigest() == self.PINNED[args]
 
 
+# The benchmark's seven check families, and the sha256 of gen_avoider(n, P).cells at its two sizes,
+# pinned before the row avoider was built without a transpose and the masks were repacked.
+BENCHMARK_FAMILIES = {
+    "column": all_ones(3, 1),
+    "row": all_ones(1, 3),
+    "identity": identity(3),
+    "tuple-identity": tuple_identity(2, 2),
+    "lshape": lshape(3, 3),
+    "cross": cross(3, 3, 2, 2),
+    "allones": all_ones(2, 2),
+}
+BENCHMARK_AVOIDER_SHA256 = {
+    ("column", 1024): "597e328d857e252884f01c4e5a6525549701c698bf642c574119bb3536d00932",
+    ("column", 2048): "44e2cbc3da4481f317b9044d88397daef23b9262e5b251e436989b8617bf8fd4",
+    ("row", 1024): "618df69d3107825057d4c2cfb42131966c10d7ee1835a097614ca952539a5129",
+    ("row", 2048): "12166190571eaa101dac386f11cfec3928a384b53683328f135c0174c37d5c3c",
+    ("identity", 1024): "aab78877eefadc22c4cb26037b26e460ed529f8fa4569408c8d742f5dfebeafe",
+    ("identity", 2048): "0352222f0c0bb64e3daf41ed293355dbb14f6a7772ca85f0304c6a7a0d42beed",
+    ("tuple-identity", 1024): "65dc66195ad1236edcf5049e3a09c77159c50541be9ded79586c10db73617b6e",
+    ("tuple-identity", 2048): "1fed090e5ffe1f50acd709eb4b41772b80dce1960e1347bed14e28730bc24603",
+    ("lshape", 1024): "597e328d857e252884f01c4e5a6525549701c698bf642c574119bb3536d00932",
+    ("lshape", 2048): "44e2cbc3da4481f317b9044d88397daef23b9262e5b251e436989b8617bf8fd4",
+    ("cross", 1024): "597e328d857e252884f01c4e5a6525549701c698bf642c574119bb3536d00932",
+    ("cross", 2048): "44e2cbc3da4481f317b9044d88397daef23b9262e5b251e436989b8617bf8fd4",
+    ("allones", 1024): "88b4f015cf3eceafe5e72191fa79ab5df77fce7caa992b6ad87a350d523158a4",
+    ("allones", 2048): "e1f1cefe68402acd998114d5c12405879fcd6b40931bd87465389a965a4e6082",
+}
+
+
 class TestGenAvoider:
     SUPPORTED = [
         all_ones(3, 1),          # column of ones
@@ -122,6 +151,12 @@ class TestGenAvoider:
     def test_single_one_unsupported(self):
         with pytest.raises(UnsupportedPatternError):
             gen_avoider(4, all_ones(1, 1))
+
+    @pytest.mark.parametrize("family, n", sorted(BENCHMARK_AVOIDER_SHA256))
+    def test_pinned_benchmark_avoiders(self, family, n):
+        M = gen_avoider(n, BENCHMARK_FAMILIES[family])
+        assert (M.rows, M.cols) == (n, n)
+        assert hashlib.sha256(M.cells).hexdigest() == BENCHMARK_AVOIDER_SHA256[family, n]
 
     def test_general_unsupported(self):
         from patcon import BitMatrix, General, classify_pattern

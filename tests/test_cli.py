@@ -507,6 +507,19 @@ class TestExtremal:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"patcon: error: {exc.value}\n"
 
+    def test_empty_witness_out_fails_before_any_search(self, files, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched before checking an output path")
+
+        monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
+        p = files("p.txt", identity(2))
+        with pytest.raises(OSError) as exc:
+            os.makedirs("")
+        code = main(["extremal", "--pattern", p, "--n", "2", "--witness-out", ""])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"patcon: error: {exc.value}\n"
+
     @pytest.mark.parametrize("pattern, argv, code", [
         (identity(2), ["--n", "0"], 2),
         (zeros(2, 2), ["--n", "2"], 2),  # no avoider exists

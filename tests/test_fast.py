@@ -4,7 +4,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patcon import (
@@ -194,6 +194,19 @@ class TestTupleIdentity:
         for A in all_matrices(4, 4):
             for k, P in pats.items():
                 assert contains_tuple_identity(A, 2, k) == contains_naive(A, P)
+
+    # Blocks complete on the same row: (1) block 1 ends on row 2 in column 1, where block 2's
+    # column 2 also has a 1, which must not count; (2) block 1 ends on row 2 in both columns,
+    # and block 2 takes rows 3-4 of column 2; (3) all three blocks end on row 1; (4) two
+    # blocks end on each of rows 2 and 3, and the copy is the diagonal.
+    @given(bit_matrices(max_rows=9, max_cols=5), st.integers(1, 3), st.integers(1, 3))
+    @example(BitMatrix.from_rows([[1, 0], [1, 1], [0, 1], [0, 0]]), 2, 2)
+    @example(BitMatrix.from_rows([[1, 1], [1, 1], [0, 1], [0, 1]]), 2, 2)
+    @example(BitMatrix.from_rows([[1, 1, 1], [0, 0, 0], [0, 0, 0]]), 1, 3)
+    @example(BitMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]), 1, 3)
+    @settings(max_examples=1500, deadline=None)
+    def test_row_mask_kernel_matches_oracle(self, A, j, k):
+        assert contains_tuple_identity(A, j, k) == contains_naive(A, tuple_identity(j, k))
 
     def test_max_agrees_with_contains(self):
         rng = random.Random(53)
@@ -447,15 +460,16 @@ class TestKernels:
                 assert shape.scan(A) is want, (str(shape), want)
 
     def test_line_routes_read_only_row_masks(self, monkeypatch):
-        """Column and row of ones are decided without transpose or a strided column copy."""
+        """Lines of ones and (tuple) identities are decided without transpose or a column copy."""
         rng = random.Random(17)
         cases = []
-        for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5)):
+        for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5), identity(3),
+                  identity(5), tuple_identity(2, 2), tuple_identity(3, 2), tuple_identity(2, 3)):
             avoider = gen_avoider(200, P)
             cases += [(avoider, P, False), (self._planted(avoider, P, rng), P, True)]
 
         def refuse(*args):
-            raise AssertionError("a line-of-ones route read a column or a transpose")
+            raise AssertionError("a row-mask route read a column or a transpose")
 
         monkeypatch.setattr(fast, "transpose", refuse)
         monkeypatch.setattr(BitMatrix, "column", refuse)

@@ -7,11 +7,10 @@ packed as they are read, so an early exit reads only the rows it needs; the
 kernels use only bit operations that keep the cells' order, so the spacing
 changes none of them):
 
-* identity              -- patience sorting over row masks: the lowest column
-                           ending a chain of each length
-* tuple identity        -- bit-sliced counters over row masks, one level per
+* (tuple) identity      -- bit-sliced counters over row masks, one level per
                            block: the columns with at least i ones of the
-                           block since the block before it closed to their left
+                           block since the block before it closed to their
+                           left (an identity is the tuple identity with j = 1)
 * L-shape and cross     -- bit-sliced "at least i ones above/below" masks,
                            ANDed with each row's ones that have enough ones
                            to their left and right; a column of ones is the
@@ -99,45 +98,28 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
 # --- identity and tuple identity ----------------------------------------------
 
 
-def _block_chain(masks, k: int) -> bool:
-    """True iff k of the masks, in order, each give a set bit above the last one's.
-
-    Patience sorting over the masks: ``ends[t]`` is the lowest single bit at
-    which a chain of t+1 bits can end among the masks read so far. A mask
-    extends the chain of each length with its lowest bit above that chain's
-    end; longer chains go first, so an extension reads only ends that earlier
-    masks set. Each mask costs O(k) operations on its int.
-    """
-    ends = []
-    for m in masks:
-        for t in range(min(len(ends), k - 1), -1, -1):
-            free = m & -(ends[t - 1] << 1) if t else m
-            end = free & -free
-            if not end:
-                continue
-            if t == len(ends):
-                if t + 1 == k:
-                    return True
-                ends.append(end)
-            elif end < ends[t]:
-                ends[t] = end
-    return False
-
-
 def _block_levels(masks, j: int, k: int) -> bool:
     """True iff the row masks hold k blocks of j ones in a column, each right of and below the last.
 
     Level t counts the ones of block t+1 with bit-sliced counters: ``ge[t][i]``
     is the mask of columns with at least i ones since the column opened, and
-    ``ge[t][0]`` the open columns, all of them for the first block. Once block
-    t+1 is complete in some column, every column right of the leftmost such
-    one opens for block t+2. Levels run from the last down, so a block
-    completed on a row opens the next level only from the following row.
-    Each row costs O(j k) operations on its int.
+    ``ge[t][0]`` the open columns. ``low[t]`` is the leftmost column, as a
+    single bit, in which block t+1 is complete (0 while it is nowhere). Block
+    t+1 may use the columns right of ``low[t-1]`` (all columns for the first
+    block), and only a copy left of ``low[t]`` opens a column that block t+2
+    lacks. So when block t+1 completes, its level keeps only the columns left
+    of the new ``low[t]``, level t+1 opens the columns between ``low[t]`` and
+    ``low[t+1]``, and a level with no open column is skipped. Levels run from
+    the last down, so a block completed on a row opens the next level only
+    from the following row. Each row costs O(j k) operations on its int, none
+    on an all-zero row.
     """
     ge = [[0] * (j + 1) for _ in range(k)]
     ge[0][0] = -1
+    low = [0] * k
     for m in masks:
+        if not m:
+            continue
         for t in range(k - 1, -1, -1):
             level = ge[t]
             if not level[0]:
@@ -148,7 +130,9 @@ def _block_levels(masks, j: int, k: int) -> bool:
             if done:
                 if t + 1 == k:
                     return True
-                ge[t + 1][0] |= -((done & -done) << 1)
+                low[t] = done & -done
+                ge[t] = [x & (low[t] - 1) for x in level]
+                ge[t + 1][0] = -(low[t] << 1) & (low[t + 1] - 1)
     return False
 
 
@@ -163,7 +147,7 @@ def contains_identity(A: BitMatrix, k: int) -> bool:
         raise ValueError("k must be positive")
     if k > A.rows or k > A.cols:
         return False
-    return _block_chain(row_masks(A), k)
+    return _block_levels(row_masks(A), 1, k)
 
 
 def max_tuple_identity_width(A: BitMatrix, j: int) -> int:
@@ -413,20 +397,18 @@ class BenchConfigError(ValueError):
     """Invalid bench configuration, or a selector that is unknown or does not fit P."""
 
 
-def _full_rows(n: int, m: int) -> BitMatrix:
-    """n x n matrix whose first m rows are all ones: no column has m+1 ones."""
-    if m < 1:
+def _corner(n: int, rows: int, cols: int) -> BitMatrix:
+    """n x n matrix with ones exactly in its first ``rows`` rows and ``cols`` columns.
+
+    With no columns no column has rows+1 ones, with no rows no row has cols+1
+    ones, and with m of each no increasing chain has m+1 ones.
+    """
+    if rows < 1 and cols < 1:
         raise UnsupportedPatternError(
             "only the all-zero matrix avoids a single 1; no dense avoider"
         )
-    m = min(m, n)
-    return BitMatrix(n, n, b"\x01" * (m * n) + bytes((n - m) * n))
-
-
-def _corner(n: int, m: int) -> BitMatrix:
-    """n x n matrix with ones exactly in its first m rows and columns: no increasing m+1 chain."""
-    m = min(m, n)
-    return BitMatrix(n, n, b"\x01" * (m * n) + (b"\x01" * m + bytes(n - m)) * (n - m))
+    rows, cols = min(rows, n), min(cols, n)
+    return BitMatrix(n, n, b"\x01" * (rows * n) + (b"\x01" * cols + bytes(n - cols)) * (n - rows))
 
 
 def _pair_bound(a: int, b: int) -> int:
@@ -467,7 +449,7 @@ class ColumnOnes(PatternClass):
     build = lambda k: all_ones(k, 1)
     contains = lambda self, A: contains_column_ones(A, self.k)
     scan = lambda self, A: max_column_ones(A) >= self.k
-    avoider = lambda self, n: _full_rows(n, self.k - 1)
+    avoider = lambda self, n: _corner(n, self.k - 1, 0)
     bound = lambda self, m, n: (self.k - 1) * n  # each column holds at most k-1 ones
 
 
@@ -478,16 +460,8 @@ class RowOnes(PatternClass):
     build = lambda w: all_ones(1, w)
     contains = lambda self, A: contains_lshape(A, 1, self.w)
     scan = lambda self, A: max_column_ones(transpose(A)) >= self.w
+    avoider = lambda self, n: _corner(n, 0, self.w - 1)
     bound = lambda self, m, n: (self.w - 1) * m  # each row holds at most w-1 ones
-
-    def avoider(self, n: int) -> BitMatrix:
-        """n x n matrix whose first w-1 columns are all ones: no row has w ones."""
-        if self.w < 2:
-            raise UnsupportedPatternError(
-                "only the all-zero matrix avoids a single 1; no dense avoider"
-            )
-        m = min(self.w - 1, n)
-        return BitMatrix(n, n, (b"\x01" * m + bytes(n - m)) * n)
 
 
 class Identity(PatternClass):
@@ -497,7 +471,7 @@ class Identity(PatternClass):
     build = identity
     contains = lambda self, A: contains_identity(A, self.k)
     scan = lambda self, A: max_identity(A) >= self.k
-    avoider = lambda self, n: _corner(n, self.k - 1)
+    avoider = lambda self, n: _corner(n, self.k - 1, self.k - 1)
     # Label each 1 with the length t < k of the longest increasing chain
     # ending at it (Mirsky). No two 1s labelled t form an increasing pair
     # and none lies in the first t-1 rows or columns, so each of the
@@ -512,7 +486,7 @@ class TupleIdentity(PatternClass):
     build = tuple_identity
     contains = lambda self, A: contains_tuple_identity(A, self.j, self.k)
     scan = lambda self, A: max_tuple_identity_width(A, self.j) >= self.k
-    avoider = lambda self, n: _full_rows(n, self.j * self.k - 1)
+    avoider = lambda self, n: _corner(n, self.j * self.k - 1, 0)
 
 
 class LShape(PatternClass):
@@ -522,7 +496,7 @@ class LShape(PatternClass):
     build = lshape
     contains = lambda self, A: contains_lshape(A, self.h, self.w)
     scan = lambda self, A: max_lshape_height(A, self.w) >= self.h
-    avoider = lambda self, n: _full_rows(n, self.h - 1)
+    avoider = lambda self, n: _corner(n, self.h - 1, 0)
 
 
 def _cross_center(P: BitMatrix):
@@ -539,7 +513,7 @@ class Cross(PatternClass):
     build = cross
     contains = lambda self, A: contains_cross(A, self.a, self.b, self.c, self.d)
     scan = lambda self, A: _cross_tally_scan(A, self.a, self.b, self.c, self.d)  # no max_* form
-    avoider = lambda self, n: _full_rows(n, self.a - 1)
+    avoider = lambda self, n: _corner(n, self.a - 1, 0)
 
 
 class AllOnes(PatternClass):
@@ -551,7 +525,7 @@ class AllOnes(PatternClass):
     # The paper's counters, over the subsets of size min(k, l) of one axis.
     scan = lambda self, A: (max_allones_rows(A, self.l) >= self.k if self.l <= self.k
                             else max_allones_rows(transpose(A), self.k) >= self.l)
-    avoider = lambda self, n: _full_rows(n, self.k - 1)
+    avoider = lambda self, n: _corner(n, self.k - 1, 0)
     # J2 (Reiman 1958): two rows share at most one column, so the column
     # sums d_j of e ones satisfy sum C(d_j, 2) <= C(m, 2), and by Jensen
     # e(e - n) <= n m(m - 1); the same holds with rows and columns swapped.

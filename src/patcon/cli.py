@@ -22,10 +22,11 @@ from .fast import ALGOS, BenchConfigError, classify_pattern, decider, dispatch
 
 
 def _read_matrix(path: str) -> BitMatrix:
+    """Parse the matrix file at path; any fault, a decode or format error too, names the file."""
     try:
         with open(path) as fh:
             return parse_matrix(fh.read())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # MatrixFormatError and UnicodeDecodeError included
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -87,7 +88,7 @@ def cmd_extremal(args) -> int:
         _check_writable(args.cache_out)
     made = args.witness_out is not None and not os.path.isdir(args.witness_out)
     if made:
-        os.makedirs(args.witness_out)
+        os.mkdir(args.witness_out)  # the leaf alone, so the clean-up below leaves nothing
     ns = [args.n] if args.n is not None else range(1, args.n_max + 1)
     records = []
     status = 0

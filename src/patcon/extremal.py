@@ -54,6 +54,7 @@ import sys
 from .matrix import (
     BitMatrix,
     Frozen,
+    MatrixFormatError,
     count_ones,
     decimal_pair,
     parse_matrix,
@@ -235,29 +236,34 @@ def save_cache(records, path):
 
 
 def _read_cache(path):
-    """(pattern, [(n, value, witness), ...]) from a cache file, every record verified."""
-    with open(path) as fh:
-        text = fh.read()
-    blocks = [b.strip().splitlines() for b in re.split(r"\n\s*\n", text) if b.strip()]
-    if not blocks or blocks[0][0].strip() != "pattern":
-        raise ValueError(f"cache file {path} does not record its pattern; rewrite it with --cache-out")
-    pattern = parse_matrix("\n".join(blocks[0][1:]))
-    out = []
-    for lines in blocks[1:]:
-        try:
-            n, value = decimal_pair(lines[0].split(), lines[0])
-        except ValueError:
-            raise ValueError(f"bad cache header line: {lines[0]!r}") from None
-        if any(n == m for m, _, _ in out):
-            raise ValueError(f"second record for n={n} in cache file {path}")
-        witness = parse_matrix("\n".join(lines[1:]))
-        if not verify_record(ExtremalRecord(n, pattern, value, witness)):
-            raise ValueError(
-                f"cache record n={n} value={value}: the witness is not an {n}x{n} "
-                f"avoider of the recorded pattern with {value} ones"
-            )
-        out.append((n, value, witness))
-    return pattern, out
+    """(pattern, [(n, value, witness), ...]) from a cache file, every record verified.
+
+    A decode or parse error is raised as a ValueError that names the file.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        blocks = [b.strip().splitlines() for b in re.split(r"\n\s*\n", text) if b.strip()]
+        if not blocks or blocks[0][0].strip() != "pattern":
+            raise ValueError(f"cache file {path} does not record its pattern; "
+                             "rewrite it with --cache-out")
+        pattern = parse_matrix("\n".join(blocks[0][1:]))
+        out = []
+        for lines in blocks[1:]:
+            try:
+                n, value = decimal_pair(lines[0].split(), lines[0])
+            except ValueError:
+                raise ValueError(f"bad cache header line: {lines[0]!r}") from None
+            if any(n == m for m, _, _ in out):
+                raise ValueError(f"second record for n={n} in cache file {path}")
+            witness = parse_matrix("\n".join(lines[1:]))
+            if not verify_record(ExtremalRecord(n, pattern, value, witness)):
+                raise ValueError(f"cache record n={n} value={value}: the witness is not an "
+                                 f"{n}x{n} avoider of the recorded pattern with {value} ones")
+            out.append((n, value, witness))
+        return pattern, out
+    except (UnicodeDecodeError, MatrixFormatError) as exc:
+        raise ValueError(f"cache file {path}: {exc}") from None
 
 
 def load_cache(path):

@@ -5,7 +5,9 @@ functions are word-level kernels on rows or columns of A packed into Python
 ints (``matrix.row_masks``/``column_masks``, cell i of a line at bit 8i,
 packed as they are read, so an early exit reads only the rows it needs; the
 kernels use only bit operations that keep the cells' order, so the spacing
-changes none of them):
+changes none of them). ``row_masks`` skips the all-zero rows, which hold no
+1 of a copy and change no counter, so no kernel sees one; each
+``contains_*`` names the masks its kernel reads:
 
 * (tuple) identity      -- bit-sliced counters over row masks, one level per
                            block: the columns with at least i ones of the
@@ -92,7 +94,7 @@ def contains_column_ones(A: BitMatrix, k: int) -> bool:
         raise ValueError("k must be positive")
     if k > A.rows:
         return False
-    return _arm_scan(A, k - 1, 0, 0, 0)
+    return _arm_scan(row_masks(A), k - 1, 0, 0, 0)
 
 
 # --- identity and tuple identity ----------------------------------------------
@@ -111,15 +113,12 @@ def _block_levels(masks, j: int, k: int) -> bool:
     of the new ``low[t]``, level t+1 opens the columns between ``low[t]`` and
     ``low[t+1]``, and a level with no open column is skipped. Levels run from
     the last down, so a block completed on a row opens the next level only
-    from the following row. Each row costs O(j k) operations on its int, none
-    on an all-zero row.
+    from the following row. Each row costs O(j k) operations on its int.
     """
     ge = [[0] * (j + 1) for _ in range(k)]
     ge[0][0] = -1
     low = [0] * k
     for m in masks:
-        if not m:
-            continue
         for t in range(k - 1, -1, -1):
             level = ge[t]
             if not level[0]:
@@ -223,8 +222,8 @@ def _with_ones_before(rows, count: int):
             ge[i] |= ge[i - 1] & m
 
 
-def _arm_scan(A: BitMatrix, up: int, down: int, left: int, right: int) -> bool:
-    """True iff some 1 of A has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
+def _arm_scan(rows, up: int, down: int, left: int, right: int) -> bool:
+    """True iff some 1 of the rows has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
 
     Rows go top to bottom with the "``up`` ones above" masks; the "``down``
     ones below" masks come from a bottom-to-top pass first, which only a
@@ -232,7 +231,6 @@ def _arm_scan(A: BitMatrix, up: int, down: int, left: int, right: int) -> bool:
     with ``left`` ones before and ``right`` after them: the row mask without
     its lowest ``left`` and highest ``right`` bits.
     """
-    rows = row_masks(A)
     below = repeat(-1)
     if down:
         rows = list(rows)
@@ -255,7 +253,7 @@ def contains_lshape(A: BitMatrix, h: int, w: int) -> bool:
         raise ValueError("h and w must be positive")
     if h > A.rows or w > A.cols:
         return False
-    return _arm_scan(A, h - 1, 0, 0, w - 1)
+    return _arm_scan(row_masks(A), h - 1, 0, 0, w - 1)
 
 
 def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
@@ -269,7 +267,7 @@ def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
         raise ValueError("cross center must satisfy 1 <= c <= a and 1 <= d <= b")
     if a > A.rows or b > A.cols:
         return False
-    return _arm_scan(A, c - 1, a - c, d - 1, b - d)
+    return _arm_scan(row_masks(A), c - 1, a - c, d - 1, b - d)
 
 
 def _cross_tally_scan(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:

@@ -5,7 +5,8 @@ immutable dense matrix stored row-major with 1-based ``get(r, c)`` access.
 The sparse text format is only a file format; it parses into a BitMatrix.
 Kernels that work on whole rows or columns read them as Python ints from
 ``row_masks``/``column_masks``, packed one at a time as they are read by
-``int.from_bytes``, so the line's cell i sits at bit 8i.
+``int.from_bytes``, so the line's cell i sits at bit 8i. ``row_masks``
+yields only the rows that hold a one; ``column_masks`` yields every column.
 
 ``BitMatrix`` and the package's other records, the pattern classes of
 ``fast.py`` among them, are ``Frozen`` values: plain classes with the
@@ -182,12 +183,22 @@ def bitmask(cells: bytes) -> int:
 
 
 def row_masks(M: BitMatrix):
-    """Rows of M top to bottom as bitmasks (bit 8(c-1) = column c), packed as they are read."""
-    return (bitmask(M.row(r)) for r in range(1, M.rows + 1))
+    """The rows of M that hold a one, top to bottom, as bitmasks (bit 8(c-1) = column c).
+
+    Each row is packed as it is read, and only after ``1 in row`` (a memchr)
+    finds a one: an all-zero row takes part in no pattern with a one, so no
+    row kernel needs it, and its position is not kept.
+    """
+    return (bitmask(row) for row in map(M.row, range(1, M.rows + 1)) if 1 in row)
 
 
 def column_masks(M: BitMatrix):
-    """Columns of M left to right as bitmasks (bit 8(r-1) = row r), packed as they are read."""
+    """Columns of M left to right as bitmasks (bit 8(r-1) = row r), packed as they are read.
+
+    Every column is kept, the all-zero ones included: the oracle's greedy
+    match places an all-zero column of P on any column of A, a zero one too,
+    so each column must keep its place.
+    """
     return (bitmask(M.column(c)) for c in range(1, M.cols + 1))
 
 

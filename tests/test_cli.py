@@ -169,7 +169,7 @@ class TestCheck:
         assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("patcon: error: sparse dimensions")
+        assert captured.err.startswith(f"patcon: error: cannot read {a}: sparse dimensions")
 
     def test_python_number_syntax_in_sparse_file_exit_two(self, tmp_path, files, capsys):
         # int() would read this as a 10x10 matrix with a 1 at (10, 3)
@@ -179,7 +179,7 @@ class TestCheck:
         assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("patcon: error: bad sparse dimensions")
+        assert captured.err.startswith(f"patcon: error: cannot read {a}: bad sparse dimensions")
 
     @pytest.mark.parametrize(
         "text, prefix",
@@ -195,7 +195,27 @@ class TestCheck:
         assert main(["check", "--matrix", str(a), "--pattern", p]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(prefix)
+        # the message follows the name of the file at fault
+        assert captured.err.startswith(prefix.replace("error:", f"error: cannot read {a}:", 1))
+
+    @pytest.mark.parametrize("option", ["--matrix", "--pattern"])
+    @pytest.mark.parametrize("data", [b"", b"# only a comment\n", b"1\xff\n"],
+                             ids=["empty", "comment-only", "byte-0xff"])
+    def test_unreadable_input_names_its_file(self, tmp_path, files, capsys, option, data):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        # the error reading the file raises, decode errors included
+        with pytest.raises(ValueError) as exc:
+            with open(bad) as fh:
+                parse_matrix(fh.read())
+        paths = {"--matrix": files("a.txt", identity(3)), "--pattern": files("p.txt", identity(2))}
+        paths[option] = str(bad)
+        assert main(["check", "--matrix", paths["--matrix"], "--pattern", paths["--pattern"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"patcon: error: cannot read {bad}: {exc.value}\n"
+        if b"1" not in data:
+            assert str(exc.value) == "empty input"
 
     @pytest.mark.parametrize(
         "block, prefix",
@@ -203,6 +223,8 @@ class TestCheck:
             # without the check, 3 ones > 2 would print CONTAINS for an avoider of J2
             ("2 2\n10\n01\n", "patcon: error: second record for n=2"),
             ("2\n11\n10\n", "patcon: error: bad cache header line"),
+            # a header with no witness: the parse error names the cache file
+            ("3 6\n", "patcon: error: cache file {cache}: empty input"),
         ],
     )
     def test_bad_bounds_cache_exit_two(self, files, tmp_path, capsys, block, prefix):
@@ -217,7 +239,7 @@ class TestCheck:
         assert main(["check", "--matrix", a, "--pattern", p, "--bounds", str(cache)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(prefix)
+        assert captured.err.startswith(prefix.format(cache=cache))
         assert main(["check", "--matrix", a, "--pattern", p]) == 1
 
     def test_missing_bounds_file_warns(self, files, capsys):
@@ -465,6 +487,7 @@ class TestExtremal:
         ("--cache-out", "missing/cache.txt"),
         ("--cache-out", "p.txt/cache.txt"),  # under a file
         ("--witness-out", "p.txt"),  # a file
+        ("--witness-out", "missing/wit"),  # no parent is made
     ])
     def test_bad_output_path_fails_before_any_search(self, files, tmp_path, capsys, monkeypatch,
                                                      option, where):
@@ -474,13 +497,14 @@ class TestExtremal:
         monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
         p = files("p.txt", identity(2))
         path = os.path.normpath(tmp_path / where)
-        # the error open() or makedirs() raises when it is reached after the searches
+        # the error open() or mkdir() raises when it is reached after the searches
         with pytest.raises(OSError) as exc:
-            os.makedirs(path) if option == "--witness-out" else open(path, "w")
+            os.mkdir(path) if option == "--witness-out" else open(path, "w")
         code = main(["extremal", "--pattern", p, "--n-max", "3", option, path])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"patcon: error: {exc.value}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_output_check_creates_and_truncates_nothing(self, files, tmp_path, capsys):
         p = files("p.txt", identity(2))
@@ -514,7 +538,7 @@ class TestExtremal:
         monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
         p = files("p.txt", identity(2))
         with pytest.raises(OSError) as exc:
-            os.makedirs("")
+            os.mkdir("")
         code = main(["extremal", "--pattern", p, "--n", "2", "--witness-out", ""])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

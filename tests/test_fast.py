@@ -38,7 +38,7 @@ from patcon import (
     zeros,
 )
 
-from patcon import fast
+from patcon import fast, matrix
 from patcon.bench import gen_avoider
 from patcon.fast import LABELS, RowOnes, classify_pattern, match_label
 
@@ -460,19 +460,25 @@ class TestKernels:
                 assert shape.scan(A) is want, (str(shape), want)
 
     def test_line_routes_read_only_row_masks(self, monkeypatch):
-        """Lines of ones and (tuple) identities are decided without transpose or a column copy."""
+        """Every row-mask route decides without transpose, a column copy or packing a zero row."""
         rng = random.Random(17)
         cases = []
         for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5), identity(3),
-                  identity(5), tuple_identity(2, 2), tuple_identity(3, 2), tuple_identity(2, 3)):
+                  identity(5), tuple_identity(2, 2), tuple_identity(3, 2), tuple_identity(2, 3),
+                  lshape(3, 3), cross(3, 3, 2, 2), all_ones(2, 2), all_ones(2, 3)):
             avoider = gen_avoider(200, P)
             cases += [(avoider, P, False), (self._planted(avoider, P, rng), P, True)]
 
         def refuse(*args):
             raise AssertionError("a row-mask route read a column or a transpose")
 
+        def pack_nonzero(cells, pack=matrix.bitmask):
+            assert 1 in cells, "a row-mask route packed an all-zero line"
+            return pack(cells)
+
         monkeypatch.setattr(fast, "transpose", refuse)
         monkeypatch.setattr(BitMatrix, "column", refuse)
+        monkeypatch.setattr(matrix, "bitmask", pack_nonzero)
         for A, P, want in cases:
             shape = classify_pattern(P)
             assert dispatch(A, P) is want, str(shape)

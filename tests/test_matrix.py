@@ -112,13 +112,14 @@ class TestFactories:
 class TestMasks:
     @given(bit_matrices())
     def test_row_and_column_masks_hold_the_cells(self, M):
-        # cell c of a row sits at bit 8(c-1), cell r of a column at bit 8(r-1); no other bit is set
-        rows = list(row_masks(M))
-        cols = list(column_masks(M))
-        for r in range(1, M.rows + 1):
-            assert rows[r - 1] == sum(M.get(r, c) << 8 * (c - 1) for c in range(1, M.cols + 1))
-        for c in range(1, M.cols + 1):
-            assert cols[c - 1] == sum(M.get(r, c) << 8 * (r - 1) for r in range(1, M.rows + 1))
+        # cell c of a row sits at bit 8(c-1), cell r of a column at bit 8(r-1); no other bit is set.
+        # The row masks are those of the rows that hold a one, in order; every column keeps its mask.
+        rows = [sum(M.get(r, c) << 8 * (c - 1) for c in range(1, M.cols + 1))
+                for r in range(1, M.rows + 1)]
+        cols = [sum(M.get(r, c) << 8 * (r - 1) for r in range(1, M.rows + 1))
+                for c in range(1, M.cols + 1)]
+        assert list(row_masks(M)) == [m for m in rows if m]
+        assert list(column_masks(M)) == cols
 
 
 class TestParsing:

@@ -22,7 +22,6 @@ from .fast import ALGOS, BenchConfigError, classify_pattern, decider, dispatch
 
 
 def _read_matrix(path: str) -> BitMatrix:
-    """Parse the matrix file at path; any fault, a decode or format error too, names the file."""
     try:
         with open(path) as fh:
             return parse_matrix(fh.read())

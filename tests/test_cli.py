@@ -199,8 +199,7 @@ class TestCheck:
         assert captured.err.startswith(prefix.replace("error:", f"error: cannot read {a}:", 1))
 
     @pytest.mark.parametrize("option", ["--matrix", "--pattern"])
-    @pytest.mark.parametrize("data", [b"", b"# only a comment\n", b"1\xff\n"],
-                             ids=["empty", "comment-only", "byte-0xff"])
+    @pytest.mark.parametrize("data", [b"", b"1\xff\n"], ids=["empty", "byte-0xff"])
     def test_unreadable_input_names_its_file(self, tmp_path, files, capsys, option, data):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(data)
@@ -214,7 +213,7 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"patcon: error: cannot read {bad}: {exc.value}\n"
-        if b"1" not in data:
+        if not data:
             assert str(exc.value) == "empty input"
 
     @pytest.mark.parametrize(

@@ -20,8 +20,8 @@ _EXPORTS = {
     "naive": "contains_naive",
     "fast": """AllOnes BenchConfigError ColumnOnes Cross General Identity LShape PatternClass
         PrefilterResult RowOnes TupleIdentity UnsupportedPatternError classify_pattern
-        contains_allones contains_column_ones contains_cross contains_identity contains_lshape
-        contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
+        contains_allones contains_column_ones contains_cross contains_general contains_identity
+        contains_lshape contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
         max_lshape_height max_tuple_identity_width ones_prefilter""",
     "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache
         ex_exact ex_table load_cache save_cache verify_record""",

@@ -9,6 +9,12 @@ Each command imports what it runs: ``extremal`` only for ``extremal`` and
 ``check --bounds``, ``bench`` only for ``bench``, so a plain ``check`` starts
 up with the matrix, oracle and kernel modules alone. ``check --algo`` runs
 ``fast.decider``, but ``auto`` loads ``--bounds`` and prints dispatch's route.
+
+Input files are read as bytes: ``parse_matrix`` parses a canonical file in
+one pass and decodes any other as text-mode ``open()`` would, so messages
+are those of the text. The ``patcon`` script (``entrypoint``) flushes the
+output and ends the process with ``os._exit``, skipping the interpreter's
+teardown; ``main`` returns the exit code, for tests and library callers.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .fast import ALGOS, BenchConfigError, classify_pattern, decider, dispatch
 
 def _read_matrix(path: str) -> BitMatrix:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # parse_matrix decodes what is not canonical as open() would
             return parse_matrix(fh.read())
     except (OSError, ValueError) as exc:  # MatrixFormatError and UnicodeDecodeError included
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None
@@ -205,7 +211,20 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    """Run ``main`` and end the process with its exit code, skipping interpreter teardown.
+
+    The streams are flushed first; if a flush fails (a closed pipe), ``sys.exit``
+    ends the process as it always did. patcon starts no thread, registers no
+    ``atexit`` handler and closes each file it writes before ``main`` returns,
+    so ``os._exit`` loses nothing.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, or a closed stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

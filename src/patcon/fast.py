@@ -13,9 +13,11 @@ changes none of them). ``row_masks`` skips the all-zero rows, which hold no
                            block: the columns with at least i ones of the
                            block since the block before it closed to their
                            left (an identity is the tuple identity with j = 1)
-* L-shape and cross     -- bit-sliced "at least i ones above/below" masks,
-                           ANDed with each row's ones that have enough ones
-                           to their left and right; a column of ones is the
+* L-shape and cross     -- one top-down pass: bit-sliced "at least i ones
+                           above" masks, ANDed with each row's ones that have
+                           enough ones to their left and right, give the
+                           candidate centers, and counters opened by them
+                           count the ones below; a column of ones is the
                            k x 1 L-shape and a row of ones the 1 x w one
 * all-ones rectangle    -- a depth-min(k, l) search over ANDs of row or
                            column masks, kept while they have enough bits
@@ -53,7 +55,10 @@ here and re-exported by ``bench``.
 
 ``dispatch`` first applies the ones-count prefilter when the caller supplies
 a proven extremal bound; if that leaves the answer open, it classifies the
-pattern, routes to its family's kernel, or falls back to the oracle.
+pattern and routes to its family's kernel, or, for a ``General`` pattern, to
+``contains_general``: the oracle's search, rows first and pruned, which
+reads A's lines only as far as it needs them. The oracle itself,
+``contains_naive``, runs only for ``--algo naive`` and in the tests.
 """
 
 from __future__ import annotations
@@ -61,13 +66,14 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import isqrt
 
 from .matrix import (
     BitMatrix,
     Frozen,
     all_ones,
+    bitmask,
     column_masks,
     count_ones,
     cross,
@@ -225,25 +231,29 @@ def _with_ones_before(rows, count: int):
 def _arm_scan(rows, up: int, down: int, left: int, right: int) -> bool:
     """True iff some 1 of the rows has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
 
-    Rows go top to bottom with the "``up`` ones above" masks; the "``down``
-    ones below" masks come from a bottom-to-top pass first, which only a
-    cross with ones below its center needs. A row's candidates are its ones
-    with ``left`` ones before and ``right`` after them: the row mask without
-    its lowest ``left`` and highest ``right`` bits.
+    One pass, top to bottom, with the "``up`` ones above" masks. A row's
+    candidates are its ones with ``left`` ones before and ``right`` after
+    them (the row mask without its lowest ``left`` and highest ``right``
+    bits) that have enough ones above. A candidate opens its column, and
+    bit-sliced counters count the ones below the first candidate of each
+    open column: ``below[i]`` is the mask of columns with at least i. The
+    first row that brings a column to ``down`` answers (with ``down`` 0, a
+    candidate answers at once), so the scan stops at the first copy.
     """
-    below = repeat(-1)
-    if down:
-        rows = list(rows)
-        below = [ge for _, ge in _with_ones_before(reversed(rows), down)][::-1]
-    for (m, above), floor in zip(_with_ones_before(rows, up), below):
+    below = [0] * (down + 1)
+    for m, above in _with_ones_before(rows, up):
+        if below[0]:
+            for i in range(down, 0, -1):
+                below[i] |= below[i - 1] & m
         if m.bit_count() > left + right:
             x = m
             for _ in range(left):
                 x &= x - 1
             for _ in range(right):
                 x ^= 1 << (x.bit_length() - 1)
-            if x & above & floor:
-                return True
+            below[0] |= x & above
+        if below[down]:
+            return True
     return False
 
 
@@ -359,6 +369,77 @@ def contains_allones(A: BitMatrix, k: int, l: int) -> bool:
     if k <= l:
         return _shared_ones(row_masks(A), k, l)
     return _shared_ones(column_masks(A), l, k)
+
+
+# --- general patterns ------------------------------------------------------------
+
+
+def _fits(serve) -> bool:
+    """True iff the masks have increasing bits, one from each: the greedy match takes each lowest."""
+    floor = -1
+    for s in serve:
+        s &= floor
+        if not s:
+            return False
+        floor = -((s & -s) << 1)
+    return True
+
+
+def contains_general(A: BitMatrix, P: BitMatrix) -> bool:
+    """True iff A contains P, for any P: the oracle's verdict from a pruned search.
+
+    As ``contains_naive`` does, it enumerates P's shorter side: A's lines are
+    its rows, or its columns with P transposed when P is taller than wide.
+    It picks A's lines for P's lines top down, and tries a line only if it
+    holds as many ones as P's line needs. ``serve[j]`` is the mask of the
+    places across A's lines with a 1 in every picked line where P's column j
+    needs one, so P's columns match the picks exactly when ``_fits`` finds
+    increasing places, the lowest each time, as the oracle's greedy match
+    does. A prefix of picks that does not fit is dropped with every
+    extension, since P's top lines are a pattern inside P. An all-zero line
+    of P needs only a place: it takes the next line of A, an all-zero one
+    too, and no later line is tried for it. Lines are packed (``bitmask``)
+    when the search first reaches them, and only if they hold a one, so
+    an early copy reads only the lines above it.
+    """
+    if P.rows > A.rows or P.cols > A.cols:
+        return False
+    if P.rows > P.cols:
+        line, count, width, P = A.column, A.cols, A.rows, transpose(P)
+    else:
+        line, count, width = A.row, A.rows, A.cols
+    needs = [[j for j, v in enumerate(P.row(i)) if v] for i in range(1, P.rows + 1)]
+    k = len(needs)
+    masks = []  # masks[r]: line r + 1 of A packed, 0 if it has no one
+    picks = []  # (next line to try, serve) for each picked line, to resume from
+    r, serve = 0, [bitmask(b"\1" * width)] * P.cols
+    while len(picks) < k:
+        i = len(picks)
+        need, last = needs[i], count - k + i  # line `last` leaves one line for each later one
+        trial = None
+        if not need:
+            if r <= last:
+                trial, r = serve, r + 1
+        while trial is None and r <= last:
+            while len(masks) <= r:
+                cells = line(len(masks) + 1)
+                masks.append(bitmask(cells) if 1 in cells else 0)
+            m = masks[r]
+            r += 1
+            if m.bit_count() >= len(need):
+                trial = serve[:]
+                for j in need:
+                    trial[j] &= m
+                if not _fits(trial):
+                    trial = None
+        if trial is not None:
+            picks.append((r if need else count, serve))
+            serve = trial
+        elif picks:
+            r, serve = picks.pop()
+        else:
+            return False
+    return True
 
 
 # --- prefilter and dispatch ------------------------------------------------------
@@ -532,7 +613,7 @@ class AllOnes(PatternClass):
 
 
 class General(PatternClass):
-    """No family fits: dispatch runs the oracle, and bench has no avoider."""
+    """No family fits: dispatch runs ``contains_general`` under the oracle's label, and bench has no avoider."""
 
 
 # The families in canonical priority: a pattern is in the first that fits.
@@ -610,7 +691,7 @@ def dispatch(A: BitMatrix, P: BitMatrix, bounds=None) -> bool:
         if bound is not None and ones_prefilter(A, bound) is PrefilterResult.CONTAINS:
             return True
     shape = classify_pattern(P)
-    return contains_naive(A, P) if type(shape) is General else shape.contains(A)
+    return contains_general(A, P) if type(shape) is General else shape.contains(A)
 
 
 def decider(algo: str, P: BitMatrix, full_scan: bool = False):

@@ -8,6 +8,11 @@ Kernels that work on whole rows or columns read them as Python ints from
 ``int.from_bytes``, so the line's cell i sits at bit 8i. ``row_masks``
 yields only the rows that hold a one; ``column_masks`` yields every column.
 
+``parse_matrix`` takes a file's bytes (or a str). A canonical dense file is
+its cells plus newlines, so one ``translate`` builds the cells; a canonical
+sparse file is parsed from whole-buffer splits. Any other input goes line by
+line, decoded as text-mode ``open()`` decodes it.
+
 ``BitMatrix`` and the package's other records, the pattern classes of
 ``fast.py`` among them, are ``Frozen`` values: plain classes with the
 equality, hashing, repr and immutability of frozen dataclasses, which would
@@ -22,6 +27,8 @@ class and its name in the export table of ``__init__.py``.
 """
 
 from __future__ import annotations
+
+import io
 
 
 class MatrixFormatError(ValueError):
@@ -221,6 +228,10 @@ def __getattr__(name):
 # (1-based, whitespace separated); R, C, r and c are ASCII decimal digits, and
 # duplicate coordinates are an error. The parser builds the dense cells, so
 # R*C is capped at SPARSE_MAX_CELLS.
+#
+# What ``serialize`` and ``serialize_sparse`` write is canonical: the one-pass
+# parsers take it, and anything they refuse goes to the line-by-line parser,
+# whose result and messages are the format's definition.
 
 SPARSE_MAX_CELLS = 1 << 26
 # b"0" -> 0, b"1" -> 1, and every other byte -> 2, which no cell holds
@@ -228,8 +239,22 @@ _DIGITS_TO_BITS = bytes({48: 0, 49: 1}.get(b, 2) for b in range(256))
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def parse_matrix(text: str) -> BitMatrix:
-    """Parse the dense or sparse text format into a BitMatrix."""
+def parse_matrix(text) -> BitMatrix:
+    """Parse the dense or sparse text format, given as a str or as a file's bytes.
+
+    A canonical file (see ``_parse_canonical``) is parsed from its bytes in
+    one pass; an ASCII str takes that path after ``encode``. Any other input
+    goes line by line, the bytes decoded first exactly as text-mode
+    ``open()`` decodes them (locale encoding, universal newlines), so every
+    message, decode errors included, is the one that text gives.
+    """
+    data = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    if isinstance(data, bytes):
+        M = _parse_canonical(data)
+        if M is not None:
+            return M
+    if isinstance(text, bytes):
+        text = io.TextIOWrapper(io.BytesIO(text)).read()
     lines = [ln.strip() for ln in text.splitlines()]
     content = [ln for ln in lines if ln and not ln.startswith("#")]
     if not content:
@@ -237,6 +262,71 @@ def parse_matrix(text: str) -> BitMatrix:
     if content[0].split()[0] == "sparse":
         return _parse_sparse(content)
     return _parse_dense(content)
+
+
+def _parse_canonical(data: bytes):
+    """The matrix of a canonical file, else None (the line path decides).
+
+    Canonical dense: rows of ``0``/``1`` of one width, each ending in a
+    newline. One ``translate`` maps the digits to cells and deletes the
+    newlines; the row ends are where they must be when every (width+1)-th
+    byte is a newline and the cells number rows x width, so no other newline
+    is left. Canonical sparse: the header ``sparse R C`` and ``r c`` lines
+    of ASCII digits and single spaces, each ending in a newline, every
+    coordinate in range and none twice. Anything else is None: a comment,
+    blank line, ``\r``, other whitespace, non-ASCII byte or any error.
+    """
+    if data.startswith(b"sparse "):
+        return _parse_sparse_canonical(data)
+    width = data.find(b"\n")
+    if width < 1 or len(data) % (width + 1):
+        return None
+    rows = len(data) // (width + 1)
+    cells = data.translate(_DIGITS_TO_BITS, b"\n")
+    if len(cells) != rows * width or 2 in cells or data[width :: width + 1] != b"\n" * rows:
+        return None
+    return _valid(rows, width, cells)
+
+
+def _parse_sparse_canonical(data: bytes):
+    """``_parse_canonical`` for the sparse format: whole-buffer splits, no loop over lines."""
+    end = data.find(b"\n") + 1
+    header = data[: end - 1].split(b" ")
+    body = data[end:]
+    if not end or len(header) != 3 or not (header[1].isdigit() and header[2].isdigit()):
+        return None
+    coords = body.split()
+    lines = body.count(b"\n")
+    if len(coords) != 2 * lines or body.translate(None, b"0123456789") != b" \n" * lines:
+        return None
+    try:
+        rows, cols = int(header[1]), int(header[2])
+        coords = list(map(int, coords))
+    except ValueError:  # more digits than int() reads
+        return None
+    if not 0 < rows * cols <= SPARSE_MAX_CELLS:
+        return None
+    rs, cs = coords[0::2], coords[1::2]
+    if coords and (min(coords) < 1 or max(rs) > rows or max(cs) > cols):
+        return None
+    cells = bytearray(rows * cols)
+    skew = cols + 1  # cell (r, c) is at r * cols + c - skew
+    for r, c in zip(rs, cs):
+        cells[r * cols + c - skew] = 1
+    if cells.count(1) != lines:  # a duplicate: the line path names it
+        return None
+    return _valid(rows, cols, bytes(cells))
+
+
+def _valid(rows: int, cols: int, cells: bytes) -> BitMatrix:
+    """The BitMatrix of cells that are already known to be rows x cols zeros and ones.
+
+    The canonical parsers prove that as they build the cells, so the check
+    in ``BitMatrix.__init__``, a second pass over them, is skipped.
+    """
+    M = object.__new__(BitMatrix)
+    M.__dict__.update(rows=rows, cols=cols, cells=cells)
+    return M
 
 
 def decimal_pair(fields, shown: str) -> tuple:

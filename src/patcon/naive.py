@@ -12,7 +12,10 @@ ordered subsequence matching). When P has more rows than columns the search
 runs on the transposed instance so the enumerated subset is the smaller one.
 
 This module exists to be trusted, not to be fast; every specialized scan in
-the package is tested against it. ``copies_through`` reuses the same greedy
+the package is tested against it, ``fast.contains_general`` among them,
+which is the search ``dispatch`` runs for patterns no family fits: the same
+greedy column match, on rows picked top down and dropped as soon as a prefix
+fails. The oracle itself runs for ``check --algo naive``. ``copies_through`` reuses the same greedy
 column matcher for the extremal search's incremental test, which looks only
 at copies of P through one newly placed 1.
 """

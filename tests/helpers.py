@@ -120,3 +120,22 @@ def ex_reference(n: int, P: BitMatrix) -> ExtremalRecord:
 
     walk(0, 0)
     return ExtremalRecord(n, P, best[0], BitMatrix(n, n, best[1]), nodes)
+
+
+# Files that the one-pass parser must hand to the line path, by what is not canonical in them.
+NONCANONICAL_FILES = {
+    "comment-lines": b"# a comment\n10\n# another\n01\n",
+    "blank-lines": b"\n10\n\n01\n\n",
+    "crlf": b"10\r\n01\r\n",
+    "no-final-newline": b"10\n01",
+    "utf8-bom": b"\xef\xbb\xbf10\n01\n",
+    "byte-0xff": b"10\n0\xff\n",
+    "tab": b"10\t\n01\n",
+    "ragged-row": b"10\n011\n",
+    "bad-character-above-ragged-row": b"1x\n011\n",
+    "sparse-duplicate": b"sparse 2 2\n1 1\n1 1\n",
+    "sparse-out-of-range": b"sparse 2 2\n3 1\n",
+    "sparse-three-fields": b"sparse 2 2\n1 1 1\n",
+    "sparse-plus-two": b"sparse 2 2\n+2 1\n",
+    "sparse-non-ascii-digits": "sparse 2 2\n\u0661 1\n".encode(),
+}

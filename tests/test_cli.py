@@ -25,7 +25,7 @@ from patcon import (
 from patcon import cli
 from patcon.cli import main
 
-from helpers import random_matrix
+from helpers import NONCANONICAL_FILES, random_matrix
 import random
 
 
@@ -761,3 +761,118 @@ class TestStartupImports:
         assert patcon.BenchConfigError is patcon.bench.BenchConfigError is patcon.fast.BenchConfigError
         with pytest.raises(AttributeError):
             patcon.no_such_name
+
+
+# `check --matrix F --pattern 1` on each non-canonical file F: (exit code, stdout, stderr), with
+# {path} for F. The texts are those of the line-by-line parser, which reads these files as
+# text-mode open() decodes them; the 0xff decode error is open()'s own message.
+NONCANONICAL_OUTCOMES = {
+    "comment-lines": (0, "CONTAINS column\n", ""),
+    "blank-lines": (0, "CONTAINS column\n", ""),
+    "crlf": (0, "CONTAINS column\n", ""),
+    "no-final-newline": (0, "CONTAINS column\n", ""),
+    "utf8-bom": (2, "", "patcon: error: cannot read {path}: invalid character '\\ufeff' in dense row\n"),
+    "byte-0xff": (2, "", "patcon: error: cannot read {path}: {decode_error}\n"),
+    "tab": (0, "CONTAINS column\n", ""),
+    "ragged-row": (2, "", "patcon: error: cannot read {path}: ragged rows: expected width 2, got 3\n"),
+    "bad-character-above-ragged-row": (
+        2, "", "patcon: error: cannot read {path}: invalid character 'x' in dense row\n"),
+    "sparse-duplicate": (2, "", "patcon: error: cannot read {path}: duplicate coordinate (1, 1)\n"),
+    "sparse-out-of-range": (
+        2, "", "patcon: error: cannot read {path}: coordinate (3, 1) outside 2x2\n"),
+    "sparse-three-fields": (
+        2, "", "patcon: error: cannot read {path}: sparse entry must be 'r c', got '1 1 1'\n"),
+    "sparse-plus-two": (2, "", "patcon: error: cannot read {path}: bad sparse coordinate: "
+                               "'+2 1' is not two decimal numbers\n"),
+    "sparse-non-ascii-digits": (2, "", "patcon: error: cannot read {path}: bad sparse coordinate: "
+                                       "'\u0661 1' is not two decimal numbers\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(NONCANONICAL_FILES))
+def test_noncanonical_input_outcome_pinned(name, tmp_path, files, capsys):
+    path = tmp_path / "a.txt"
+    path.write_bytes(NONCANONICAL_FILES[name])
+    decode_error = None
+    if name == "byte-0xff":
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text()
+        decode_error = exc.value
+    code, out, err = NONCANONICAL_OUTCOMES[name]
+    p = files("p.txt", all_ones(1, 1))
+    assert main(["check", "--matrix", str(path), "--pattern", p]) == code
+    assert capsys.readouterr() == (out, err.format(path=path, decode_error=decode_error))
+
+
+def test_noncanonical_files_match_their_outcomes():
+    assert NONCANONICAL_OUTCOMES.keys() == NONCANONICAL_FILES.keys()
+
+
+class TestEntrypoint:
+    """``python -m patcon.cli`` ends with os._exit after a flush: nothing it prints or writes is lost."""
+
+    @staticmethod
+    def run(*argv, **kwargs):
+        src = os.path.dirname(os.path.dirname(patcon.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        env.update(kwargs.pop("env", {}))
+        return subprocess.run([sys.executable, "-m", "patcon.cli", *argv], env=env,
+                              timeout=120, **kwargs)
+
+    def test_every_exit_code_with_its_whole_output(self, files, tmp_path, capsys):
+        p_one, p_j2 = files("p1.txt", all_ones(1, 1)), files("p22.txt", all_ones(2, 2))
+        a_full, a_zero = files("af.txt", all_ones(3, 3)), files("az.txt", zeros(3, 3))
+        cases = [
+            (0, ["check", "--matrix", a_full, "--pattern", p_one]),
+            (1, ["check", "--matrix", a_zero, "--pattern", p_one]),
+            (2, ["check", "--matrix", a_zero, "--pattern", str(tmp_path / "missing.txt")]),
+            (3, ["extremal", "--pattern", p_j2, "--n-max", "4", "--node-budget", "40"]),
+            (0, ["extremal", "--pattern", p_j2, "--n-max", "6"]),
+        ]
+        for code, argv in cases:
+            assert main(argv) == code
+            want = capsys.readouterr()
+            proc = self.run(*argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
+
+    def test_written_files_are_complete(self, files, tmp_path, capsys):
+        p = files("p.txt", identity(2))
+        outputs = {}
+        for where in ("in-process", "child"):
+            wdir, cache, csv = (tmp_path / f"{where}-{name}" for name in ("wit", "cache.txt", "b.csv"))
+            extremal = ["extremal", "--pattern", p, "--n-max", "6", "--witness-out", str(wdir),
+                        "--cache-out", str(cache)]
+            bench = ["bench", "--pattern", p, "--sizes", "8,16,32", "--trials", "3",
+                     "--csv", str(csv)]
+            for argv in (extremal, bench):
+                if where == "child":
+                    assert self.run(*argv, capture_output=True).returncode == 0
+                else:
+                    assert main(argv) == 0
+                    capsys.readouterr()
+            rows = csv.read_text().splitlines()
+            outputs[where] = ({f.name: f.read_text() for f in wdir.iterdir()}, cache.read_text(),
+                              [row.split(",")[:3] for row in rows], csv.read_text()[-1])
+        assert outputs["child"] == outputs["in-process"]
+        assert len(outputs["child"][0]) == 6 and len(outputs["child"][2]) == 1 + 3 * (3 + 1)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_pipe(self, files, unbuffered):
+        """The exit code and stderr are Python's usual ones for a write to a closed pipe."""
+        a, p = files("a.txt", identity(3)), files("p.txt", all_ones(1, 1))
+        read, write = os.pipe()
+        os.close(read)
+        env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+        try:
+            proc = self.run("check", "--matrix", a, "--pattern", p, stdout=write,
+                            stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        if unbuffered:  # print raises inside main, which reports it as an error
+            assert (proc.returncode, proc.stderr) == (2, "patcon: error: [Errno 32] Broken pipe\n")
+        else:  # the flush at exit fails, and the interpreter reports it
+            assert proc.returncode == 120
+            assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+            assert proc.stderr.endswith(">\nBrokenPipeError: [Errno 32] Broken pipe\n")
+            assert proc.stderr.count("\n") == 2

@@ -16,6 +16,7 @@ from patcon import (
     contains_allones,
     contains_column_ones,
     contains_cross,
+    contains_general,
     contains_identity,
     contains_lshape,
     contains_naive,
@@ -40,7 +41,7 @@ from patcon import (
 
 from patcon import fast, matrix
 from patcon.bench import gen_avoider
-from patcon.fast import LABELS, RowOnes, classify_pattern, match_label
+from patcon.fast import LABELS, General, RowOnes, classify_pattern, match_label
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
 from test_matrix import bit_matrices
@@ -483,6 +484,116 @@ class TestKernels:
             shape = classify_pattern(P)
             assert dispatch(A, P) is want, str(shape)
             assert shape.contains(A) is want, str(shape)
+
+
+# Every pattern up to 3x3 that no family fits: zero rows and columns, and tall ones, among them.
+GENERAL_PATTERNS = [P for P in all_patterns_up_to(3, 3) if type(classify_pattern(P)) is General]
+
+
+@st.composite
+def with_zero_lines(draw, max_rows=8, max_cols=8):
+    """A matrix up to max_rows x max_cols with some of its rows and columns cleared."""
+    A = draw(bit_matrices(max_rows, max_cols))
+    rows = draw(st.sets(st.integers(1, A.rows)))
+    cols = draw(st.sets(st.integers(1, A.cols)))
+    return BitMatrix.from_rows(
+        [0 if r in rows or c in cols else A.get(r, c) for c in range(1, A.cols + 1)]
+        for r in range(1, A.rows + 1))
+
+
+class TestGeneralRoute:
+    """``dispatch``'s route for General patterns against the oracle."""
+
+    def test_patterns_have_zero_lines_and_tall_shapes(self):
+        assert any(1 not in P.row(r) for P in GENERAL_PATTERNS for r in range(1, P.rows + 1))
+        assert any(1 not in P.column(c) for P in GENERAL_PATTERNS for c in range(1, P.cols + 1))
+        assert any(P.rows > P.cols for P in GENERAL_PATTERNS)
+
+    @given(with_zero_lines())
+    @settings(max_examples=120, deadline=None)
+    @example(zeros(8, 8))
+    @example(all_ones(8, 8))
+    def test_every_general_pattern_matches_the_oracle(self, A):
+        for P in GENERAL_PATTERNS:
+            assert contains_general(A, P) == contains_naive(A, P), P
+
+    @given(with_zero_lines(), st.sampled_from(GENERAL_PATTERNS), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_planted_copy_is_found(self, A, P, rnd):
+        if P.rows <= A.rows and P.cols <= A.cols:
+            A = TestKernels._planted(A, P, rnd)
+            assert contains_general(A, P) and contains_naive(A, P)
+
+    def test_dispatch_takes_the_route_not_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dispatch called the oracle")
+
+        monkeypatch.setattr(fast, "contains_naive", refuse)
+        G = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert dispatch(identity(4), G) is False
+        assert dispatch(all_ones(3, 3), G) is True
+
+    def test_oracle_worst_cases_are_quick(self):
+        # The oracle tries C(256, 2) and C(128, 3) row pairs and triples here.
+        G = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        one_row = BitMatrix(256, 256, b"\1" * 256 + bytes(255 * 256))
+        assert dispatch(one_row, G) is False
+        p213 = BitMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert dispatch(identity(128), p213) is False
+        assert dispatch(identity(128), transpose(p213)) is False
+
+    def test_reads_only_the_rows_down_to_the_copy(self, monkeypatch):
+        """A wide P: no column of A is read, and no row below the copy is packed."""
+        G = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        A = BitMatrix(300, 300, b"\1" * (2 * 300) + bytes(298 * 300))
+        packed = []
+
+        def pack(cells, pack=matrix.bitmask):
+            packed.append(cells)
+            return pack(cells)
+
+        def refuse(*args):
+            raise AssertionError("the route read a column")
+
+        monkeypatch.setattr(fast, "bitmask", pack)
+        monkeypatch.setattr(BitMatrix, "column", refuse)
+        assert contains_general(A, G) is True
+        assert len(packed) == 3  # the full-row mask, then rows 1 and 2
+
+
+CROSSES = [(a, b, c, d) for a in (1, 2, 3) for b in (1, 2, 3)
+           for c in range(1, a + 1) for d in range(1, b + 1)]
+
+
+class TestCrossScan:
+    """``contains_cross`` in one top-down pass, against the oracle."""
+
+    @given(with_zero_lines(10, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_every_cross_matches_the_oracle(self, A):
+        for a, b, c, d in CROSSES:
+            assert contains_cross(A, a, b, c, d) == contains_naive(A, cross(a, b, c, d))
+
+    @given(bit_matrices(max_rows=10, max_cols=10, min_rows=3, min_cols=3),
+           st.sampled_from(CROSSES), st.floats(0, 0.3), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_planted_cross_is_found(self, A, shape, density, rnd):
+        A = BitMatrix(A.rows, A.cols, bytes(v if rnd.random() < density else 0 for v in A.cells))
+        planted = TestKernels._planted(A, cross(*shape), rnd)
+        assert contains_cross(planted, *shape) is True
+        assert contains_naive(planted, cross(*shape)) is True
+
+    def test_stops_at_the_first_copy(self, monkeypatch):
+        packed = []
+
+        def pack(cells, pack=matrix.bitmask):
+            packed.append(cells)
+            return pack(cells)
+
+        monkeypatch.setattr(matrix, "bitmask", pack)
+        A = BitMatrix(500, 500, b"\1" * (3 * 500) + bytes(497 * 500))
+        assert contains_cross(A, 3, 3, 2, 2) is True
+        assert len(packed) == 3
 
 
 class TestReductions:

@@ -34,9 +34,10 @@ from patcon import (
 from patcon.bench import BenchReport, gen_random
 from patcon.extremal import ExtremalRecord
 from patcon.fast import LABELS, match_label
+from patcon import matrix
 from patcon.matrix import column_masks, row_masks
 
-from helpers import all_matrices, serialize_sparse_reference
+from helpers import NONCANONICAL_FILES, all_matrices, serialize_sparse_reference
 
 
 @st.composite
@@ -201,6 +202,34 @@ class TestParsing:
     @given(bit_matrices())
     def test_sparse_round_trip(self, M):
         assert parse_matrix(serialize_sparse(M)) == M
+
+    @given(bit_matrices(max_rows=9, max_cols=9), st.booleans(), st.randoms(use_true_random=False))
+    def test_canonical_bytes_parse_in_one_pass(self, M, sparse, rnd):
+        if sparse:  # the entries may come in any order
+            header, *entries = serialize_sparse(M).splitlines(keepends=True)
+            rnd.shuffle(entries)
+            text = "".join([header, *entries])
+        else:
+            text = serialize(M)
+        assert matrix._parse_canonical(text.encode()) == M
+        assert parse_matrix(text.encode()) == parse_matrix(text) == M
+
+    @pytest.mark.parametrize("name", list(NONCANONICAL_FILES))
+    def test_other_bytes_parse_as_their_text(self, name, tmp_path):
+        """What is not canonical goes line by line, decoded as text-mode open() decodes it."""
+        data = NONCANONICAL_FILES[name]
+        assert matrix._parse_canonical(data) is None
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+
+        def outcome(read):
+            try:
+                with open(path, *read) as fh:
+                    return parse_matrix(fh.read())
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(["rb"]) == outcome([])
 
 
 class TestSerializeSparse:

@@ -1,0 +1,158 @@
+"""Run the benchmark as alternating parent/change pairs and summarise them.
+
+    python tools/bench_pairs.py --parent DIR --change DIR --workload W \
+        --seeds 1,2,3 [--seconds 12] [--out BENCH.json]
+
+PARENT and CHANGE are two checkouts of the repository (a ``git archive`` of
+each commit, say). For each seed, in order, the tool runs
+``python3 benchmark/run.py --workload W --seed S --seconds T --trace 0`` once
+in each checkout, the parent first on even pairs and the change first on odd
+ones, and reads the JSON on the run's last line of output. It then writes,
+for each end-to-end metric of the change's ``BENCHMARK.json``, each side's
+runs, median and quartiles, the change's wins, whether the gain rule holds
+(wins on at least 9 of 10 pairs and a gap between the medians wider than the
+parent's interquartile range) and whether the metric stays within its bound.
+
+With ``--out``, the workload's entry is added to that file (an existing
+workload entry of the same name is replaced), so one file collects the
+workloads of several invocations. Nothing under ``benchmark/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+GAIN_SHARE = 0.9  # the change must win at least this share of the pairs
+
+
+def quartiles(values) -> dict:
+    """q1, median and q3 (``statistics.quantiles``, inclusive method) and the values."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "runs": list(values)}
+
+
+def summarize(parent, change, better: str, bound: float) -> dict:
+    """The comparison of one metric over pairs: parent[i] and change[i] are pair i's runs.
+
+    ``change_worse_by`` is the relative move of the change's median in the
+    worse direction (negative when it improved); the metric is within its
+    bound when that is at most ``bound``. It is unresolved when the
+    parent's own interquartile range, relative to its median, exceeds the
+    bound. The gain rule holds when the change is better in at least 90% of
+    the pairs and its median is better than the parent's by more than the
+    parent's interquartile range.
+    """
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two or more pairs with one run on each side")
+    p, c = quartiles(parent), quartiles(change)
+    lower = better == "lower"
+    ratio = c["median"] / p["median"] if p["median"] else float("inf")
+    worse_by = ratio - 1 if lower else 1 - ratio
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(parent, change))
+    iqr = p["q3"] - p["q1"]
+    gap = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+    iqr_over_median = iqr / p["median"] if p["median"] else float("inf")
+    return {
+        "better": better,
+        "bound": bound,
+        "parent": p,
+        "change": c,
+        "change_over_parent": ratio,
+        "change_wins": wins,
+        "pairs": len(parent),
+        "change_worse_by": worse_by,
+        "parent_iqr_over_median": iqr_over_median,
+        "gain_rule_holds": wins >= GAIN_SHARE * len(parent) and gap > iqr,
+        "within_bound": worse_by <= bound,
+        "unresolved": iqr_over_median > bound,
+    }
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``: the JSON of its last line, with the seed."""
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"benchmark run in {checkout} failed: {proc.stderr.strip()[-500:]}")
+    return {"seed": seed, **json.loads(lines[-1])}
+
+
+def commit_of(checkout: str) -> str:
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def compare(parent_runs, change_runs, metrics) -> dict:
+    """The workload entry: the summary of each end-to-end metric, the operations and the runs."""
+    out = {}
+    for spec in metrics:
+        name = spec["name"]
+        values = [[run["metrics"][name]["value"] for run in runs]
+                  for runs in (parent_runs, change_runs)]
+        out[name] = {"unit": spec["unit"], **summarize(*values, spec["better"], spec["bound"])}
+    ops = {side: {"attempted": sum(r["attempted"] for r in runs),
+                  "failed": sum(r["failed"] for r in runs)}
+           for side, runs in (("parent", parent_runs), ("change", change_runs))}
+    return {"metrics": out, "operations": ops}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
+    p.add_argument("--seconds", type=float, default=12)
+    p.add_argument("--out", default=None, help="JSON file to add the workload's entry to")
+    args = p.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    runs = {"parent": [], "change": []}
+    first = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        first.append(order[0])
+        for side in order:
+            run = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(run)
+            print(f"pair {i + 1}/{len(seeds)} seed {seed} {side}: "
+                  + " ".join(f"{k}={v['value']:.4g}" for k, v in run["metrics"].items()),
+                  file=sys.stderr)
+    entry = {"seeds": seeds, "first_side_per_pair": first,
+             **compare(runs["parent"], runs["change"], metrics),
+             "runs": {side: [{"seed": r["seed"], "correct": r["correct"],
+                              "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
+                             for r in rs] for side, rs in runs.items()}}
+    for name, m in entry["metrics"].items():
+        print(f"{args.workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+              f"wins {m['change_wins']}/{m['pairs']} gain_rule {m['gain_rule_holds']} "
+              f"within_bound {m['within_bound']}", file=sys.stderr)
+    if args.out:
+        doc = {}
+        if os.path.exists(args.out):
+            with open(args.out) as fh:
+                doc = json.load(fh)
+        doc.setdefault("what", f"python3 benchmark/run.py --workload W --seed S --seconds "
+                               f"{args.seconds:g} --trace 0, alternating parent/change pairs")
+        doc.setdefault("parent", commit_of(args.parent))
+        doc.setdefault("change", commit_of(args.change))
+        doc.setdefault("workloads", {})[args.workload] = entry
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

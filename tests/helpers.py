@@ -132,6 +132,7 @@ NONCANONICAL_FILES = {
     "byte-0xff": b"10\n0\xff\n",
     "tab": b"10\t\n01\n",
     "ragged-row": b"10\n011\n",
+    "ragged-rows-of-whole-length": b"10\n0\n111\n",  # 3 rows and 6 digits, as 3 x 2 would have
     "bad-character-above-ragged-row": b"1x\n011\n",
     "sparse-duplicate": b"sparse 2 2\n1 1\n1 1\n",
     "sparse-out-of-range": b"sparse 2 2\n3 1\n",

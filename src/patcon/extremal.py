@@ -32,7 +32,8 @@ Containment is decided incrementally. The search only extends avoiders, and
 a new 1 at (r, c) comes after every 1 already placed, so the extended matrix
 contains P exactly when some copy of P maps P's row-major last 1 onto
 (r, c): a copy must use the new 1, and the image of P's last 1 is the last
-1 of the copy. ``naive.copies_through`` tests just those copies on
+1 of the copy. ``_plans`` lists, per row, the row selections that can
+place P's last 1 on that row, and the search tests just those copies on
 per-column row bitmasks, so no matrix is rebuilt per node and one test
 serves every pattern.
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import combinations
 
 from .matrix import (
     BitMatrix,
@@ -60,7 +62,7 @@ from .matrix import (
     parse_matrix,
     serialize,
 )
-from .naive import contains_naive, copies_through
+from .naive import _column_needs, _greedy_columns, _pattern_column_rows, contains_naive
 from .fast import dispatch, upper_bound
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -93,6 +95,29 @@ class ExtremalRecord(Frozen):
     strip, cap = (), None
 
 
+def _plans(P: BitMatrix, rows: int):
+    """For each row r < ``rows``, (pin, left needs, right needs) per copy of P's last 1 on row r.
+
+    P's row-major last 1 sits at (i*, j*): all rows of P below i* and the
+    cells of row i* right of j* are zero. A copy that maps it onto row r picks
+    i* rows above r and needs P.rows-1-i* spare rows below r. For each such
+    selection, ``pin`` is the row bitmask (bit r is row r) that column j*
+    needs, and the left and right needs are those of P's columns before and
+    after j*, matched greedily as in ``contains_naive``.
+    """
+    i_star, j_star = divmod(P.cells.rindex(1), P.cols)
+    pat_cols = _pattern_column_rows(P)
+    plans = []
+    for r in range(rows):
+        plan = []
+        if rows - r >= P.rows - i_star:
+            for sel in combinations(range(r), i_star):
+                needs = _column_needs(pat_cols, (*sel, r))  # pattern row i* on row r
+                plan.append((needs[j_star], needs[:j_star], needs[j_star + 1 :]))
+        plans.append(plan)
+    return plans
+
+
 def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,
             node_budget: int) -> tuple:
     """(value, cells, nodes, cuts) of the first maximum rows x n avoider of P in 1-before-0 order.
@@ -104,7 +129,7 @@ def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,
     if nodes + n >= node_budget:  # row 0 is never cut, so n + 1 nodes: raise before allocating
         raise SearchBudgetExceeded(n, node_budget)
     total = rows * n
-    through = copies_through(P, rows)
+    plans = _plans(P, rows)
     sort = all(P.cells)  # J_{k x l}: search doubly sorted matrices only
     cells = bytearray(total)
     colmasks = [0] * n
@@ -142,12 +167,15 @@ def _search(rows: int, n: int, P: BitMatrix, strip, cap: int, nodes: int,
                 ):
                     unsorted += 1
                 else:
-                    bit = 1 << r
-                    colmasks[c] |= bit
-                    if through(colmasks, r, c):
-                        colmasks[c] ^= bit  # contained: only the 0 branch remains
-                        contained += 1
+                    m = colmasks[c] | 1 << r
+                    for pin, lneeds, rneeds in plans[r]:
+                        if (m & pin == pin
+                                and (not lneeds or _greedy_columns(colmasks[:c], lneeds))
+                                and (not rneeds or _greedy_columns(colmasks[c + 1 :], rneeds))):
+                            contained += 1  # a copy through (r, c): only the 0 branch remains
+                            break
                     else:
+                        colmasks[c] = m
                         cells[idx] = 1
                         ones += 1
                 idx += 1

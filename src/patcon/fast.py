@@ -215,33 +215,22 @@ def max_lshape_height(A: BitMatrix, w: int) -> int:
     return max(counters)
 
 
-def _with_ones_before(rows, count: int):
-    """Yield (row mask, columns with at least ``count`` ones in earlier rows) for each row.
-
-    Bit-sliced saturating counters: ``ge[i]`` is the mask of columns with at
-    least i ones so far.
-    """
-    ge = [-1] + [0] * count
-    for m in rows:
-        yield m, ge[count]
-        for i in range(count, 0, -1):
-            ge[i] |= ge[i - 1] & m
-
-
 def _arm_scan(rows, up: int, down: int, left: int, right: int) -> bool:
     """True iff some 1 of the rows has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
 
-    One pass, top to bottom, with the "``up`` ones above" masks. A row's
-    candidates are its ones with ``left`` ones before and ``right`` after
-    them (the row mask without its lowest ``left`` and highest ``right``
-    bits) that have enough ones above. A candidate opens its column, and
-    bit-sliced counters count the ones below the first candidate of each
-    open column: ``below[i]`` is the mask of columns with at least i. The
-    first row that brings a column to ``down`` answers (with ``down`` 0, a
-    candidate answers at once), so the scan stops at the first copy.
+    One pass, top to bottom, with bit-sliced saturating counters of the ones
+    above each row: ``above[i]`` is the mask of columns with at least i ones
+    in the rows before. A row's candidates are its ones with ``left`` ones
+    before and ``right`` after them (the row mask without its lowest ``left``
+    and highest ``right`` bits) that are in ``above[up]``. A candidate opens
+    its column, and ``below[i]`` likewise masks the open columns with at
+    least i ones below their first candidate. The first row that brings a
+    column to ``down`` answers (with ``down`` 0, a candidate answers at
+    once), so the scan stops at the first copy.
     """
+    above = [-1] + [0] * up
     below = [0] * (down + 1)
-    for m, above in _with_ones_before(rows, up):
+    for m in rows:
         if below[0]:
             for i in range(down, 0, -1):
                 below[i] |= below[i - 1] & m
@@ -251,9 +240,11 @@ def _arm_scan(rows, up: int, down: int, left: int, right: int) -> bool:
                 x &= x - 1
             for _ in range(right):
                 x ^= 1 << (x.bit_length() - 1)
-            below[0] |= x & above
+            below[0] |= x & above[up]
         if below[down]:
             return True
+        for i in range(up, 0, -1):
+            above[i] |= above[i - 1] & m
     return False
 
 

@@ -51,6 +51,15 @@ def test_higher_is_better_and_the_bound():
     assert s["change_wins"] == 10 and s["gain_rule_holds"] and s["within_bound"]
 
 
+def test_every_change_run_better_than_every_parent_run_is_resolved():
+    # The parent's IQR is 31% of its median, over the 0.25 bound.
+    assert not bench_pairs.summarize(PARENT, [p - 10 for p in PARENT], "lower", 0.25)["unresolved"]
+    assert not bench_pairs.summarize(PARENT, [p + 10 for p in PARENT], "higher", 0.25)["unresolved"]
+    touching = [p - 9 for p in PARENT]  # its worst run ties the parent's best
+    assert bench_pairs.summarize(PARENT, touching, "lower", 0.25)["unresolved"]
+    assert bench_pairs.summarize(PARENT, [p - 10 for p in PARENT], "higher", 0.25)["unresolved"]
+
+
 def test_compare_reads_each_metric_and_counts_operations():
     def run(value, failed):
         return {"attempted": 5, "failed": failed, "metrics": {"m": {"value": value, "unit": "s"}}}

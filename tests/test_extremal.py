@@ -4,6 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from patcon import (
     AllOnes,
     BitMatrix,
@@ -26,13 +29,16 @@ from patcon import (
     save_cache,
     serialize,
     transpose,
+    tuple_identity,
     verify_record,
     zeros,
 )
 from patcon import extremal
 from patcon.extremal import upper_bound
+from patcon.naive import _greedy_columns
 
 from helpers import all_patterns_up_to, ex_reference
+from test_matrix import bit_matrices
 
 G = parse_matrix("101\n011\n")
 
@@ -102,6 +108,14 @@ def assert_matches_reference(rec, n, P):
     assert rec.nodes <= cap * ref.nodes, (serialize(P), n, rec.nodes, ref.nodes)
 
 
+def assert_frozen(cases):
+    """Each (n, P, value, nodes, witness) is ex_exact's record; witness rows are split by '/'."""
+    for n, P, value, nodes, witness in cases:
+        rec = ex_exact(n, P)
+        assert (rec.value, rec.nodes) == (value, nodes), (n, serialize(P))
+        assert rec.witness == parse_matrix(witness.replace("/", "\n"))
+
+
 class TestAgainstReferenceSearch:
     """Strip bound and symmetry rule keep the recursive full-oracle search's value and witness."""
 
@@ -140,10 +154,20 @@ class TestAgainstReferenceSearch:
             (6, identity(2), 11, 125, "111111/100000/100000/100000/100000/100000"),
             (5, G, 15, 112_301, "11000/01111/11100/11010/11001"),
         ]
-        for n, P, value, nodes, witness in cases:
-            rec = ex_exact(n, P)
-            assert (rec.value, rec.nodes) == (value, nodes)
-            assert rec.witness == parse_matrix(witness.replace("/", "\n"))
+        assert_frozen(cases)
+
+    def test_deep_plan_pairs_frozen(self):
+        # ROADMAP item 1's pairs: P's last 1 sits on row i* = 1, 3, 1 and 2,
+        # so each plan picks up to three rows above the new 1.
+        cases = [
+            (7, all_ones(2, 2), 21, 100_651,
+             "1110000/1001100/1000011/0101010/0100101/0011001/0010110"),
+            (5, tuple_identity(2, 2), 17, 414_007, "11111/11111/11111/10000/10000"),
+            (5, parse_matrix("10\n11\n"), 9, 341_448, "11111/10000/10000/10000/10000"),
+            (7, parse_matrix("0\n0\n1\n"), 14, 1_301_591,
+             "1111111/1111111/0000000/0000000/0000000/0000000/0000000"),
+        ]
+        assert_frozen(cases)
 
     def test_deep_search_needs_no_recursion(self):
         rec = ex_exact(32, all_ones(1, 1))
@@ -157,6 +181,57 @@ class TestAgainstReferenceSearch:
         rec = ex_exact(32, all_ones(33, 1))
         assert (rec.value, rec.nodes) == (32 * 32, 32 * 32 + 1)
         assert rec.strip == tuple(32 * m for m in range(1, 32))
+
+
+def _greedy_avoider(A: BitMatrix, P: BitMatrix) -> BitMatrix:
+    """Keep A's ones in row-major order while the kept matrix still avoids P."""
+    cells = bytearray(A.rows * A.cols)
+    for i, v in enumerate(A.cells):
+        if v:
+            cells[i] = 1
+            if contains_naive(BitMatrix(A.rows, A.cols, bytes(cells)), P):
+                cells[i] = 0
+    return BitMatrix(A.rows, A.cols, bytes(cells))
+
+
+def copy_through(plans, colmasks, r, c) -> bool:
+    """Whether some plan of row r matches the column masks, the new 1 at (r, c) included."""
+    return any(
+        colmasks[c] & pin == pin
+        and (not lneeds or _greedy_columns(colmasks[:c], lneeds))
+        and (not rneeds or _greedy_columns(colmasks[c + 1 :], rneeds))
+        for pin, lneeds, rneeds in plans[r]
+    )
+
+
+class TestCopiesThrough:
+    """The per-row plans the search tests in place of a full oracle call."""
+
+    @given(
+        bit_matrices(max_rows=5, max_cols=5),
+        bit_matrices(max_rows=3, max_cols=3).filter(lambda P: any(P.cells)),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_equals_oracle_after_last_one_of_an_avoider(self, A, P, data):
+        A = _greedy_avoider(A, P)
+        start = A.cells.rfind(1) + 1
+        assume(start < len(A.cells))
+        idx = data.draw(st.integers(start, len(A.cells) - 1))
+        cells = bytearray(A.cells)
+        cells[idx] = 1
+        B = BitMatrix(A.rows, A.cols, bytes(cells))
+        colmasks = [
+            sum(1 << i for i, v in enumerate(B.column(c)) if v) for c in range(1, B.cols + 1)
+        ]
+        r, c = divmod(idx, A.cols)
+        assert copy_through(extremal._plans(P, A.rows), colmasks, r, c) == contains_naive(B, P)
+
+    def test_tail_rows_of_pattern_need_room_below(self):
+        P = BitMatrix.from_rows([[1], [0]])  # the last 1 needs a spare row under it
+        plans = extremal._plans(P, 2)
+        assert not copy_through(plans, [0b10], 1, 0)
+        assert copy_through(plans, [0b01], 0, 0)
 
 
 def with_bound(monkeypatch, cls, shift):

@@ -2,10 +2,7 @@
 
 import random
 
-import pytest
-
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from patcon import (
     BitMatrix,
@@ -16,8 +13,6 @@ from patcon import (
     transpose,
     zeros,
 )
-
-from patcon.naive import copies_through
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, random_matrix
 from test_matrix import bit_matrices
@@ -122,48 +117,3 @@ class TestProperties:
                 continue
             weaker[rng.choice(ones)] = 0
             assert contains_naive(A, BitMatrix(P.rows, P.cols, bytes(weaker)))
-
-
-def _greedy_avoider(A: BitMatrix, P: BitMatrix) -> BitMatrix:
-    """Keep A's ones in row-major order while the kept matrix still avoids P."""
-    cells = bytearray(A.rows * A.cols)
-    for i, v in enumerate(A.cells):
-        if v:
-            cells[i] = 1
-            if contains_naive(BitMatrix(A.rows, A.cols, bytes(cells)), P):
-                cells[i] = 0
-    return BitMatrix(A.rows, A.cols, bytes(cells))
-
-
-class TestCopiesThrough:
-    """The incremental test the extremal search uses in place of a full oracle call."""
-
-    @given(
-        bit_matrices(max_rows=5, max_cols=5),
-        bit_matrices(max_rows=3, max_cols=3).filter(lambda P: any(P.cells)),
-        st.data(),
-    )
-    @settings(max_examples=300)
-    def test_equals_oracle_after_last_one_of_an_avoider(self, A, P, data):
-        A = _greedy_avoider(A, P)
-        start = A.cells.rfind(1) + 1
-        assume(start < len(A.cells))
-        idx = data.draw(st.integers(start, len(A.cells) - 1))
-        cells = bytearray(A.cells)
-        cells[idx] = 1
-        B = BitMatrix(A.rows, A.cols, bytes(cells))
-        colmasks = [
-            sum(1 << i for i, v in enumerate(B.column(c)) if v) for c in range(1, B.cols + 1)
-        ]
-        r, c = divmod(idx, A.cols)
-        assert copies_through(P, A.rows)(colmasks, r, c) == contains_naive(B, P)
-
-    def test_tail_rows_of_pattern_need_room_below(self):
-        P = BitMatrix.from_rows([[1], [0]])  # the last 1 needs a spare row under it
-        through = copies_through(P, 2)
-        assert through([0b10], 1, 0) is False
-        assert through([0b01], 0, 0) is True
-
-    def test_all_zero_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            copies_through(zeros(2, 2), 3)

@@ -43,9 +43,10 @@ def summarize(parent, change, better: str, bound: float) -> dict:
     worse direction (negative when it improved); the metric is within its
     bound when that is at most ``bound``. It is unresolved when the
     parent's own interquartile range, relative to its median, exceeds the
-    bound. The gain rule holds when the change is better in at least 90% of
-    the pairs and its median is better than the parent's by more than the
-    parent's interquartile range.
+    bound, unless every change run is better than every parent run. The
+    gain rule holds when the change is better in at least 90% of the pairs
+    and its median is better than the parent's by more than the parent's
+    interquartile range.
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs with one run on each side")
@@ -57,6 +58,7 @@ def summarize(parent, change, better: str, bound: float) -> dict:
     iqr = p["q3"] - p["q1"]
     gap = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
     iqr_over_median = iqr / p["median"] if p["median"] else float("inf")
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
     return {
         "better": better,
         "bound": bound,
@@ -69,7 +71,7 @@ def summarize(parent, change, better: str, bound: float) -> dict:
         "parent_iqr_over_median": iqr_over_median,
         "gain_rule_holds": wins >= GAIN_SHARE * len(parent) and gap > iqr,
         "within_bound": worse_by <= bound,
-        "unresolved": iqr_over_median > bound,
+        "unresolved": iqr_over_median > bound and not all_better,
     }
 
 

@@ -157,8 +157,8 @@ class TestAgainstReferenceSearch:
         assert_frozen(cases)
 
     def test_deep_plan_pairs_frozen(self):
-        # ROADMAP item 1's pairs: P's last 1 sits on row i* = 1, 3, 1 and 2,
-        # so each plan picks up to three rows above the new 1.
+        # The deepest plans: P's last 1 sits on row i* = 1, 3, 1 and 2, so
+        # each plan picks up to three rows above the new 1.
         cases = [
             (7, all_ones(2, 2), 21, 100_651,
              "1110000/1001100/1000011/0101010/0100101/0011001/0010110"),

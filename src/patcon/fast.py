@@ -481,6 +481,24 @@ def _corner(n: int, rows: int, cols: int) -> BitMatrix:
     return BitMatrix(n, n, b"\x01" * (rows * n) + (b"\x01" * cols + bytes(n - cols)) * (n - rows))
 
 
+# M contains cross(a, b, c, d) exactly when some 1 of M has c-1 ones above
+# it, a-c below, d-1 to its left and b-d to its right. So in an avoider
+# every 1 is column-short (among the top c-1 or bottom a-c ones of its
+# column, so at most a-1 per column) or row-short (at most b-1 per row).
+# Take the first d-1 and the last b-d of M's nonempty columns: a 1 in the
+# i-th nonempty column from the left has at most i-1 ones to its left, so
+# for i <= d-1 it is row-short, and likewise on the right. The ones that are
+# column-short but not row-short lie in the other nonempty columns, at most
+# n-b+1 of them, with at most a-1 in each: at most (b-1)m + (a-1)(n-b+1)
+# ones, the bound. (With fewer than b-1 nonempty columns M holds at most
+# (b-2)m ones, which is less.) It is exact: filling the first c-1 and last
+# a-c rows and the first d-1 and last b-d columns leaves every 1 in a band
+# where one arm is too short.
+def _arm_bound(m: int, n: int, a: int, b: int) -> int:
+    """ex(m x n, P) for every a x b cross P (lines and L-shapes too), m >= a and n >= b."""
+    return m * n - (m - a + 1) * (n - b + 1)
+
+
 def _pair_bound(a: int, b: int) -> int:
     """Largest e with e(e - b) <= b a(a - 1): the root of e^2 - b e - b a(a-1), floored exactly."""
     return (b + isqrt(b * b + 4 * b * a * (a - 1))) // 2
@@ -520,7 +538,7 @@ class ColumnOnes(PatternClass):
     contains = lambda self, A: contains_column_ones(A, self.k)
     scan = lambda self, A: max_column_ones(A) >= self.k
     avoider = lambda self, n: _corner(n, self.k - 1, 0)
-    bound = lambda self, m, n: (self.k - 1) * n  # each column holds at most k-1 ones
+    bound = lambda self, m, n: _arm_bound(m, n, self.k, 1)
 
 
 class RowOnes(PatternClass):
@@ -531,7 +549,7 @@ class RowOnes(PatternClass):
     contains = lambda self, A: contains_lshape(A, 1, self.w)
     scan = lambda self, A: max_column_ones(transpose(A)) >= self.w
     avoider = lambda self, n: _corner(n, 0, self.w - 1)
-    bound = lambda self, m, n: (self.w - 1) * m  # each row holds at most w-1 ones
+    bound = lambda self, m, n: _arm_bound(m, n, 1, self.w)
 
 
 class Identity(PatternClass):
@@ -567,6 +585,7 @@ class LShape(PatternClass):
     contains = lambda self, A: contains_lshape(A, self.h, self.w)
     scan = lambda self, A: max_lshape_height(A, self.w) >= self.h
     avoider = lambda self, n: _corner(n, self.h - 1, 0)
+    bound = lambda self, m, n: _arm_bound(m, n, self.h, self.w)
 
 
 def _cross_center(P: BitMatrix):
@@ -584,6 +603,7 @@ class Cross(PatternClass):
     contains = lambda self, A: contains_cross(A, self.a, self.b, self.c, self.d)
     scan = lambda self, A: _cross_tally_scan(A, self.a, self.b, self.c, self.d)  # no max_* form
     avoider = lambda self, n: _corner(n, self.a - 1, 0)
+    bound = lambda self, m, n: _arm_bound(m, n, self.a, self.b)
 
 
 class AllOnes(PatternClass):

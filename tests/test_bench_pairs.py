@@ -1,6 +1,9 @@
-"""The pair summary of ``tools/bench_pairs.py`` on fixed numbers."""
+"""``tools/bench_pairs.py``: its pair summary on fixed numbers, its git export and its document."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,11 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+
+REPO = TOOL.parents[1]
+IN_GIT = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=REPO,
+                        capture_output=True, text=True).stdout.strip() == "true"
+needs_git = pytest.mark.skipif(not IN_GIT, reason="the tool exports commits of a git work tree")
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
 
@@ -75,3 +83,56 @@ def test_compare_reads_each_metric_and_counts_operations():
 def test_unequal_pairs_refused():
     with pytest.raises(ValueError):
         bench_pairs.summarize(PARENT, PARENT[:9], "lower", 0.25)
+
+
+def head_id():
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+@needs_git
+def test_export_unpacks_the_commit_alone(tmp_path):
+    assert bench_pairs.export("HEAD", str(tmp_path)) == head_id()
+    assert (tmp_path / "benchmark" / "run.py").is_file()
+    names = {name for _, dirs, files in os.walk(tmp_path) for name in dirs + files}
+    assert ".git" not in names and "__pycache__" not in names
+
+
+@needs_git
+def test_main_writes_one_document_of_alternating_pairs(tmp_path, monkeypatch):
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    side_of, calls = {}, []
+    export = bench_pairs.export
+
+    def recording_export(rev, tree):
+        side_of[tree] = "parent" if rev == "HEAD" else "change"
+        return export(rev, tree)
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((workload, seed, side_of[tree]))
+        value = 2.0 if side_of[tree] == "parent" else 1.0
+        return {"seed": seed, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {m["name"]: {"value": value, "unit": m["unit"]} for m in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "export", recording_export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    # HEAD~0 is HEAD under another name, so the two trees can be told apart.
+    assert bench_pairs.main(["--parent", "HEAD", "--change", "HEAD~0", "--seeds", "5,6,7",
+                             "--workloads", "extremal,check_random", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == doc["change"] == head_id()
+    assert list(doc["workloads"]) == ["extremal", "check_random"]
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    for workload, entry in doc["workloads"].items():
+        assert [side for w, _, side in calls if w == workload] == order
+        assert [seed for w, seed, _ in calls if w == workload] == [5, 5, 6, 6, 7, 7]
+        assert entry["seeds"] == [5, 6, 7]
+        assert entry["first_side_per_pair"] == ["parent", "change", "parent"]
+        assert set(entry["metrics"]) == {m["name"] for m in metrics}
+        s = entry["metrics"]["extremal_s"]
+        assert (s["parent"]["median"], s["change"]["median"], s["change_wins"]) == (2.0, 1.0, 3)
+        assert entry["operations"]["parent"] == {"attempted": 9, "failed": 0}
+        assert entry["runs"]["change"][0] == {
+            "seed": 5, "correct": True, "metrics": {m["name"]: 1.0 for m in metrics}}
+    assert side_of and not any(os.path.exists(tree) for tree in side_of)

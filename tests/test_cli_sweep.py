@@ -25,7 +25,7 @@ from patcon.fast import ALGOS
 
 from helpers import all_patterns_up_to, random_matrix
 
-SWEEP_SHA256 = "11aa6578b29fac2419cc2852306dc052e7db577f8975efcdbc8884b8e7196197"
+SWEEP_SHA256 = "8a00fc0b8044049240d6e224c54da7cb3e4f8bdc1911ab5c94b49c783a9f40be"
 
 
 def sweep(tmp_path, capsys):

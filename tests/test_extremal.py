@@ -11,12 +11,15 @@ from patcon import (
     AllOnes,
     BitMatrix,
     ColumnOnes,
+    Cross,
     ExtremalRecord,
     Identity,
+    LShape,
     RowOnes,
     SearchBudgetExceeded,
     all_ones,
     bounds_from_cache,
+    classify_pattern,
     contains_naive,
     count_ones,
     cross,
@@ -35,9 +38,10 @@ from patcon import (
 )
 from patcon import extremal
 from patcon.extremal import upper_bound
+from patcon.fast import _arm_bound
 from patcon.naive import _greedy_columns
 
-from helpers import all_patterns_up_to, ex_reference
+from helpers import all_matrices, all_patterns_up_to, ex_reference
 from test_matrix import bit_matrices
 
 G = parse_matrix("101\n011\n")
@@ -163,7 +167,7 @@ class TestAgainstReferenceSearch:
             (7, all_ones(2, 2), 21, 100_651,
              "1110000/1001100/1000011/0101010/0100101/0011001/0010110"),
             (5, tuple_identity(2, 2), 17, 414_007, "11111/11111/11111/10000/10000"),
-            (5, parse_matrix("10\n11\n"), 9, 341_448, "11111/10000/10000/10000/10000"),
+            (5, parse_matrix("10\n11\n"), 9, 74, "11111/10000/10000/10000/10000"),
             (7, parse_matrix("0\n0\n1\n"), 14, 1_301_591,
              "1111111/1111111/0000000/0000000/0000000/0000000/0000000"),
         ]
@@ -333,6 +337,47 @@ class TestBoundTable:
     def test_other_patterns_get_the_trivial_bound(self):
         assert upper_bound(G)(5, 5) == 25
         assert upper_bound(all_ones(2, 3))(4, 5) == 20
+
+
+CROSSES = [P for P in all_patterns_up_to(3, 3, require_ones=True)
+           if isinstance(classify_pattern(P), (ColumnOnes, RowOnes, LShape, Cross))]
+
+
+class TestArmBound:
+    """ex(m x n, P) = mn - (m - a + 1)(n - b + 1) for every a x b cross, lines and L-shapes too."""
+
+    def test_every_cross_up_to_3x3_at_n_up_to_4(self):
+        assert len(CROSSES) == 30
+        for P in CROSSES:
+            for n in range(1, 5):
+                rec = ex_exact(n, P)
+                assert_matches_reference(rec, n, P)
+                if n >= max(P.rows, P.cols):
+                    assert rec.value == _arm_bound(n, n, P.rows, P.cols), (serialize(P), n)
+
+    def test_strips_by_brute_force(self):
+        # The search stops at its cap, so only enumeration can show that the
+        # formula is not below the true strip value.
+        for P in CROSSES:
+            for n in range(P.cols, 5):
+                rec = ex_exact(n, P)
+                for m in range(P.rows, n):
+                    best = max(count_ones(M) for M in all_matrices(m, n)
+                               if not contains_naive(M, P))
+                    assert best == _arm_bound(m, n, P.rows, P.cols) == rec.strip[m - 1], \
+                        (serialize(P), m, n)
+
+    @pytest.mark.parametrize("P, value", [
+        (parse_matrix("10\n11\n"), 11), (parse_matrix("11\n01\n01\n"), 16),
+        (lshape(3, 2), 16), (lshape(2, 3), 16), (lshape(3, 3), 20),
+        (cross(3, 3, 2, 2), 20), (cross(3, 2, 2, 1), 16),
+    ])
+    def test_closes_at_n6(self, P, value):
+        # Each ran past 3 * 10^6 nodes with the trivial bound m*n.
+        rec = ex_exact(6, P, node_budget=200)
+        assert rec.value == value == _arm_bound(6, 6, P.rows, P.cols)
+        assert rec.closed == rec.searches
+        assert verify_record(rec)
 
 
 class TestClosedForms:

@@ -1,24 +1,26 @@
-"""Run the benchmark as alternating parent/change pairs and summarise them.
+"""Run the benchmark as alternating pairs of two git revisions and summarise them.
 
-    python tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seeds 1,2,3 [--seconds 12] [--out BENCH.json]
+    python tools/bench_pairs.py --parent REV --change REV --seeds 1,2,3 \
+        [--workloads W1,W2] [--seconds 12] [--out BENCH.json]
 
-PARENT and CHANGE are two checkouts of the repository (a ``git archive`` of
-each commit, say). For each seed, in order, the tool runs
+Each REV is resolved with ``git rev-parse --verify REV^{commit}`` in the
+repository that holds this tool and unpacked with ``git archive`` into a
+fresh temporary tree, deleted at the end, so each side runs exactly its
+commit's files: no ``.git``, no bytecode, nothing a test run left behind.
+For each workload (default: every one in the change's ``BENCHMARK.json``)
+and each seed, in order, the tool runs
 ``python3 benchmark/run.py --workload W --seed S --seconds T --trace 0`` once
-in each checkout, the parent first on even pairs and the change first on odd
-ones, and reads the JSON on the run's last line of output. It then writes,
-for each end-to-end metric of the change's ``BENCHMARK.json``, each side's
-runs, median and quartiles, the change's wins, whether the gain rule holds
-(wins on at least 9 of 10 pairs and a gap between the medians wider than the
-parent's interquartile range) and whether the metric stays within its bound.
+in each tree, the parent first on even pairs and the change first on odd
+ones, and reads the JSON on the run's last line of output. For each
+end-to-end metric of the change's ``BENCHMARK.json`` the workload's entry
+holds each side's runs, median and quartiles, the change's wins, whether
+the gain rule holds (wins on at least 9 of 10 pairs and a gap between the
+medians wider than the parent's interquartile range) and whether the metric
+stays within its bound.
 
-With ``--out``, the workload's entry is added to that file (an existing
-workload entry of the same name is replaced), so one file collects the
-workloads of several invocations. Nothing under ``benchmark/`` is changed.
+The one JSON document, with the full ids of both commits and an entry per
+workload, goes to ``--out`` (replacing the file) or to stdout.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -26,6 +28,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
 
 GAIN_SHARE = 0.9  # the change must win at least this share of the pairs
 
@@ -77,21 +83,22 @@ def summarize(parent, change, better: str, bound: float) -> dict:
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: the JSON of its last line, with the seed."""
-    proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed",
+                           str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"benchmark run in {checkout} failed: {proc.stderr.strip()[-500:]}")
     return {"seed": seed, **json.loads(lines[-1])}
 
 
-def commit_of(checkout: str) -> str:
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+def export(rev: str, tree: str) -> str:
+    """Unpack commit ``rev`` of this repository into the directory ``tree``; its full id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=REPO,
+                            stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", commit], cwd=REPO, stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", tree], input=tar.stdout, check=True)
+    return commit
 
 
 def compare(parent_runs, change_runs, metrics) -> dict:
@@ -108,51 +115,52 @@ def compare(parent_runs, change_runs, metrics) -> dict:
     return {"metrics": out, "operations": ops}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", required=True, help="checkout of the parent commit")
-    p.add_argument("--change", required=True, help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    p.add_argument("--seconds", type=float, default=12)
-    p.add_argument("--out", default=None, help="JSON file to add the workload's entry to")
-    args = p.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-    runs = {"parent": [], "change": []}
-    first = []
+def run_pairs(trees: dict, workload: str, seeds, seconds: float, metrics) -> dict:
+    """The workload's entry: one pair of runs per seed, the parent first on even pairs."""
+    runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        first.append(order[0])
-        for side in order:
-            run = run_once(getattr(args, side), args.workload, seed, args.seconds)
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            run = run_once(trees[side], workload, seed, seconds)
             runs[side].append(run)
-            print(f"pair {i + 1}/{len(seeds)} seed {seed} {side}: "
+            print(f"{workload} pair {i + 1}/{len(seeds)} seed {seed} {side}: "
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in run["metrics"].items()),
                   file=sys.stderr)
-    entry = {"seeds": seeds, "first_side_per_pair": first,
+    entry = {"seeds": seeds, "first_side_per_pair": [SIDES[i % 2] for i in range(len(seeds))],
              **compare(runs["parent"], runs["change"], metrics),
              "runs": {side: [{"seed": r["seed"], "correct": r["correct"],
                               "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
                              for r in rs] for side, rs in runs.items()}}
     for name, m in entry["metrics"].items():
-        print(f"{args.workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+        print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
               f"wins {m['change_wins']}/{m['pairs']} gain_rule {m['gain_rule_holds']} "
               f"within_bound {m['within_bound']}", file=sys.stderr)
-    if args.out:
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                doc = json.load(fh)
-        doc.setdefault("what", f"python3 benchmark/run.py --workload W --seed S --seconds "
-                               f"{args.seconds:g} --trace 0, alternating parent/change pairs")
-        doc.setdefault("parent", commit_of(args.parent))
-        doc.setdefault("change", commit_of(args.change))
-        doc.setdefault("workloads", {})[args.workload] = entry
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    return entry
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision of the parent commit")
+    p.add_argument("--change", required=True, help="git revision of the change")
+    p.add_argument("--workloads", help="comma-separated (default: all in BENCHMARK.json)")
+    p.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
+    p.add_argument("--seconds", type=float, default=12)
+    p.add_argument("--out", type=argparse.FileType("w"), default="-",
+                   help="JSON file to write (default: stdout)")
+    args = p.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        trees = {"parent": parent, "change": change}
+        commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+        with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
+            spec = json.load(fh)
+        workloads = (args.workloads.split(",") if args.workloads
+                     else [w["name"] for w in spec["workloads"]])
+        doc = {"what": f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g}"
+                       " --trace 0, alternating parent/change pairs of git archives", **commits,
+               "workloads": {w: run_pairs(trees, w, seeds, args.seconds, spec["end_to_end"])
+                             for w in workloads}}
+    with args.out:
+        args.out.write(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

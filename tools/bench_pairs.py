@@ -19,7 +19,8 @@ medians wider than the parent's interquartile range) and whether the metric
 stays within its bound.
 
 The one JSON document, with the full ids of both commits and an entry per
-workload, goes to ``--out`` (replacing the file) or to stdout.
+workload, goes to ``--out`` or to stdout. ``--out`` is opened, and emptied,
+before the first run, so a path that cannot be written fails at once.
 """
 
 import argparse

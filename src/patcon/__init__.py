@@ -24,7 +24,7 @@ _EXPORTS = {
         contains_lshape contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
         max_lshape_height max_tuple_identity_width ones_prefilter""",
     "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache
-        ex_exact ex_table load_cache save_cache verify_record""",
+        ex_exact load_cache save_cache verify_record""",
     "bench": "BenchReport bench_compare fit_exponent gen_avoider gen_random write_bench_csv",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -51,17 +51,17 @@ def cmd_check(args) -> int:
     P = _read_matrix(args.pattern)
     if args.algo == "auto":
         bounds = None
-        if args.bounds and os.path.exists(args.bounds):
+        if args.bounds is not None and os.path.exists(args.bounds):
             from .extremal import bounds_from_cache
 
             bounds = bounds_from_cache(args.bounds, P)
-        elif args.bounds:
+        elif args.bounds is not None:
             print(f"patcon: warning: bounds file {args.bounds} not found; prefilter off",
                   file=sys.stderr)
         result = dispatch(A, P, bounds)
         label = classify_pattern(P).label
     else:
-        if args.bounds:
+        if args.bounds is not None:
             print(f"patcon: warning: --bounds is ignored with --algo {args.algo}", file=sys.stderr)
         result = decider(args.algo, P)(A)
         label = args.algo
@@ -138,7 +138,7 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise BenchConfigError(f"bad sizes list {args.sizes!r}") from None
-    if args.algos:
+    if args.algos is not None:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     else:
         algos = [classify_pattern(P).label]

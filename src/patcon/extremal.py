@@ -236,13 +236,6 @@ def verify_record(rec: ExtremalRecord) -> bool:
     return not contains_naive(w, rec.pattern)
 
 
-def ex_table(n_max: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Records for n = 1 .. n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    return [ex_exact(n, P, node_budget) for n in range(1, n_max + 1)]
-
-
 # --- cache file --------------------------------------------------------------
 #
 # The first block is the line "pattern" followed by the pattern in dense

@@ -387,11 +387,11 @@ def contains_general(A: BitMatrix, P: BitMatrix) -> bool:
     needs one, so P's columns match the picks exactly when ``_fits`` finds
     increasing places, the lowest each time, as the oracle's greedy match
     does. A prefix of picks that does not fit is dropped with every
-    extension, since P's top lines are a pattern inside P. An all-zero line
-    of P needs only a place: it takes the next line of A, an all-zero one
-    too, and no later line is tried for it. Lines are packed (``bitmask``)
-    when the search first reaches them, and only if they hold a one, so
-    an early copy reads only the lines above it.
+    extension, since P's top lines are a pattern inside P. Any line of A
+    passes for an all-zero line of P, and no later one is tried for it:
+    a later line leaves fewer lines below for the same ``serve``. Lines
+    are packed (``bitmask``) when the search first reaches them, and only
+    if they hold a one, so an early copy reads only the lines above it.
     """
     if P.rows > A.rows or P.cols > A.cols:
         return False
@@ -408,9 +408,6 @@ def contains_general(A: BitMatrix, P: BitMatrix) -> bool:
         i = len(picks)
         need, last = needs[i], count - k + i  # line `last` leaves one line for each later one
         trial = None
-        if not need:
-            if r <= last:
-                trial, r = serve, r + 1
         while trial is None and r <= last:
             while len(masks) <= r:
                 cells = line(len(masks) + 1)

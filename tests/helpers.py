@@ -139,4 +139,11 @@ NONCANONICAL_FILES = {
     "sparse-three-fields": b"sparse 2 2\n1 1 1\n",
     "sparse-plus-two": b"sparse 2 2\n+2 1\n",
     "sparse-non-ascii-digits": "sparse 2 2\n\u0661 1\n".encode(),
+    # valid sparse files, identity(2) as the dense ones above, that only the line path reads
+    "sparse-crlf": b"sparse 2 2\r\n1 1\r\n2 2\r\n",
+    "sparse-comment-line": b"sparse 2 2\n# the diagonal\n1 1\n2 2\n",
+    "sparse-blank-line": b"sparse 2 2\n1 1\n\n2 2\n",
+    "sparse-tab-and-double-space": b"sparse 2 2\n1\t1\n2  2\n",
+    "sparse-no-final-newline": b"sparse 2 2\n1 1\n2 2",
+    "sparse-header-double-space": b"sparse  2 2\n1 1\n2 2\n",
 }

@@ -100,7 +100,8 @@ def test_export_unpacks_the_commit_alone(tmp_path):
 
 @needs_git
 def test_main_writes_one_document_of_alternating_pairs(tmp_path, monkeypatch):
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
     side_of, calls = {}, []
     export = bench_pairs.export
 
@@ -109,6 +110,7 @@ def test_main_writes_one_document_of_alternating_pairs(tmp_path, monkeypatch):
         return export(rev, tree)
 
     def run_once(tree, workload, seed, seconds):
+        assert seconds == spec["run_seconds"]
         calls.append((workload, seed, side_of[tree]))
         value = 2.0 if side_of[tree] == "parent" else 1.0
         return {"seed": seed, "correct": True, "attempted": 3, "failed": 0,
@@ -136,3 +138,16 @@ def test_main_writes_one_document_of_alternating_pairs(tmp_path, monkeypatch):
         assert entry["runs"]["change"][0] == {
             "seed": 5, "correct": True, "metrics": {m["name"]: 1.0 for m in metrics}}
     assert side_of and not any(os.path.exists(tree) for tree in side_of)
+
+
+@needs_git
+def test_unknown_workload_fails_before_the_first_run(tmp_path, monkeypatch, capsys):
+    def run_once(*args):
+        raise AssertionError("ran a workload before checking the names")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--seeds", "1",
+                          "--workloads", "extremal,nope", "--out", str(tmp_path / "b.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("--workloads: not in BENCHMARK.json: nope\n")

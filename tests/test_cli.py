@@ -244,24 +244,25 @@ class TestCheck:
     def test_missing_bounds_file_warns(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", all_ones(1, 1))
-        code = main(["check", "--matrix", a, "--pattern", p,
-                     "--bounds", "/nonexistent-cache.txt"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.out == "CONTAINS column\n"
-        assert captured.err == (
-            "patcon: warning: bounds file /nonexistent-cache.txt not found; prefilter off\n"
-        )
+        for bounds in ("/nonexistent-cache.txt", ""):  # an empty path is a missing file too
+            code = main(["check", "--matrix", a, "--pattern", p, "--bounds", bounds])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.out == "CONTAINS column\n"
+            assert captured.err == (
+                f"patcon: warning: bounds file {bounds} not found; prefilter off\n"
+            )
 
     def test_bounds_with_forced_algo_warns(self, files, capsys):
         a = files("a.txt", identity(3))
         p = files("p.txt", identity(2))
-        code = main(["check", "--matrix", a, "--pattern", p, "--algo", "identity",
-                     "--bounds", "/nonexistent-cache.txt"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.out == "CONTAINS identity\n"
-        assert captured.err == "patcon: warning: --bounds is ignored with --algo identity\n"
+        for bounds in ("/nonexistent-cache.txt", ""):
+            code = main(["check", "--matrix", a, "--pattern", p, "--algo", "identity",
+                         "--bounds", bounds])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.out == "CONTAINS identity\n"
+            assert captured.err == "patcon: warning: --bounds is ignored with --algo identity\n"
 
 
 FORCED_LABELS = ("naive", "column", "identity", "tuple-identity", "lshape", "cross", "allones")
@@ -613,6 +614,14 @@ class TestBench:
         assert code == 2
         assert capsys.readouterr().err == "patcon: error: need at least one size\n"
 
+    @pytest.mark.parametrize("algos", ["", ","])
+    def test_empty_algos_list_names_the_problem(self, files, tmp_path, capsys, algos):
+        p = files("p.txt", identity(2))
+        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3",
+                     "--csv", str(tmp_path / "x.csv"), "--algos", algos])
+        assert code == 2
+        assert capsys.readouterr().err == "patcon: error: need at least one algorithm label\n"
+
     def test_missing_csv_directory_fails_before_generating(self, files, tmp_path, capsys,
                                                             monkeypatch):
         import patcon.bench
@@ -788,6 +797,12 @@ NONCANONICAL_OUTCOMES = {
                                "'+2 1' is not two decimal numbers\n"),
     "sparse-non-ascii-digits": (2, "", "patcon: error: cannot read {path}: bad sparse coordinate: "
                                        "'\u0661 1' is not two decimal numbers\n"),
+    "sparse-crlf": (0, "CONTAINS column\n", ""),
+    "sparse-comment-line": (0, "CONTAINS column\n", ""),
+    "sparse-blank-line": (0, "CONTAINS column\n", ""),
+    "sparse-tab-and-double-space": (0, "CONTAINS column\n", ""),
+    "sparse-no-final-newline": (0, "CONTAINS column\n", ""),
+    "sparse-header-double-space": (0, "CONTAINS column\n", ""),
 }
 
 

@@ -24,7 +24,6 @@ from patcon import (
     count_ones,
     cross,
     ex_exact,
-    ex_table,
     identity,
     load_cache,
     lshape,
@@ -64,7 +63,7 @@ class TestFrozenValues:
         assert rec.witness == zeros(3, 3)
 
     def test_column_pair_traces_column_capacity(self):
-        values = [r.value for r in ex_table(3, all_ones(2, 1))]
+        values = [ex_exact(n, all_ones(2, 1)).value for n in range(1, 4)]
         assert values == [1, 2, 3]
 
     def test_identity_2_at_n3(self):
@@ -74,7 +73,7 @@ class TestFrozenValues:
         assert rec.witness == BitMatrix.from_rows([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
     def test_all_ones_2x2_table(self):
-        values = [r.value for r in ex_table(4, all_ones(2, 2))]
+        values = [ex_exact(n, all_ones(2, 2)).value for n in range(1, 5)]
         assert values == [1, 3, 6, 9]
 
     def test_deterministic_witness(self):
@@ -294,7 +293,7 @@ class TestSearchAccount:
 
     def test_cache_record_ran_no_search(self, tmp_path):
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(3, identity(2)), path)
+        save_cache([ex_exact(n, identity(2)) for n in range(1, 4)], path)
         for n, value, witness in load_cache(path):
             rec = ExtremalRecord(n, identity(2), value, witness)
             assert (rec.searches, rec.cap) == (0, None)
@@ -471,7 +470,7 @@ class TestErrors:
 class TestStructuralProperties:
     def test_monotone_in_n(self):
         for P in (all_ones(2, 2), identity(2)):
-            values = [r.value for r in ex_table(4, P)]
+            values = [ex_exact(n, P).value for n in range(1, 5)]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_transpose_symmetry(self):
@@ -489,7 +488,7 @@ class TestStructuralProperties:
 
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
-        records = ex_table(3, all_ones(2, 2))
+        records = [ex_exact(n, all_ones(2, 2)) for n in range(1, 4)]
         path = tmp_path / "cache.txt"
         save_cache(records, path)
         loaded = load_cache(path)
@@ -498,7 +497,7 @@ class TestCacheFile:
 
     def test_bounds_map(self, tmp_path):
         P = all_ones(2, 2)
-        records = ex_table(3, P)
+        records = [ex_exact(n, P) for n in range(1, 4)]
         path = tmp_path / "cache.txt"
         save_cache(records, path)
         bounds = bounds_from_cache(path, P)
@@ -507,7 +506,7 @@ class TestCacheFile:
     def test_loaded_witnesses_avoid(self, tmp_path):
         P = identity(2)
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(3, P), path)
+        save_cache([ex_exact(n, P) for n in range(1, 4)], path)
         for n, value, witness in load_cache(path):
             assert count_ones(witness) == value
             assert not contains_naive(witness, P)
@@ -515,13 +514,13 @@ class TestCacheFile:
     def test_file_records_its_pattern(self, tmp_path):
         P = identity(2)
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(2, P), path)
+        save_cache([ex_exact(n, P) for n in range(1, 3)], path)
         head = path.read_text().split("\n\n")[0]
         assert parse_matrix(head.split("\n", 1)[1]) == P
 
     def test_bounds_for_another_pattern_rejected(self, tmp_path):
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(3, identity(2)), path)
+        save_cache([ex_exact(n, identity(2)) for n in range(1, 4)], path)
         with pytest.raises(ValueError, match="different pattern"):
             bounds_from_cache(path, all_ones(2, 2))
 
@@ -563,7 +562,7 @@ class TestCacheFile:
         # prefilter call a 3-ones avoider of J2 a container
         P = all_ones(2, 2)
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(2, P), path)
+        save_cache([ex_exact(n, P) for n in range(1, 3)], path)
         with open(path, "a") as fh:
             fh.write("\n2 2\n10\n01\n")
         with pytest.raises(ValueError, match="second record for n=2"):
@@ -573,7 +572,7 @@ class TestCacheFile:
 
     def test_separator_lines_may_hold_whitespace(self, tmp_path):
         path = tmp_path / "cache.txt"
-        save_cache(ex_table(3, all_ones(1, 1)), path)
+        save_cache([ex_exact(n, all_ones(1, 1)) for n in range(1, 4)], path)
         text = path.read_text()
         assert text.count("\n\n") == 3
         spaced = tmp_path / "spaced.txt"

@@ -25,7 +25,6 @@ from patcon import (
     cross,
     dispatch,
     ex_exact,
-    ex_table,
     identity,
     lshape,
     max_allones_rows,
@@ -560,6 +559,24 @@ class TestGeneralRoute:
         assert contains_general(A, G) is True
         assert len(packed) == 3  # the full-row mask, then rows 1 and 2
 
+    def test_zero_line_is_not_retried(self, monkeypatch):
+        """A zero line of P keeps its first line of A: a later one leaves fewer lines below.
+
+        Retrying it with each later line takes 557,847 ``_fits`` calls here, against 1,888.
+        """
+        calls = []
+
+        def fits(serve, fits=fast._fits):
+            calls.append(1)
+            return fits(serve)
+
+        monkeypatch.setattr(fast, "_fits", fits)
+        n = 64
+        anti = BitMatrix.from_entries(n, n, [(i, n + 1 - i) for i in range(1, n + 1)])
+        P = BitMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+        assert contains_general(anti, P) is False
+        assert len(calls) <= n * n
+
 
 CROSSES = [(a, b, c, d) for a in (1, 2, 3) for b in (1, 2, 3)
            for c in range(1, a + 1) for d in range(1, b + 1)]
@@ -633,7 +650,6 @@ GUARDS = [
     (lambda: tuple_identity(0, 1), ValueError, "tuple identity parameters must be positive"),
     (lambda: lshape(1, 0), ValueError, "lshape dimensions must be positive"),
     (lambda: gen_avoider(0, identity(2)), ValueError, "n must be positive"),
-    (lambda: ex_table(0, identity(2)), ValueError, "n_max must be positive"),
     (lambda: bench_compare(["identity"], identity(2), [4, 8], 1.5, 1, 3), BenchConfigError,
      r"density must lie in \[0, 1\]"),
 ]

@@ -231,6 +231,15 @@ class TestParsing:
 
         assert outcome(["rb"]) == outcome([])
 
+    @pytest.mark.parametrize("name", [
+        "comment-lines", "blank-lines", "crlf", "no-final-newline", "tab", "sparse-crlf",
+        "sparse-comment-line", "sparse-blank-line", "sparse-tab-and-double-space",
+        "sparse-no-final-newline", "sparse-header-double-space"])
+    def test_valid_files_that_are_not_canonical_parse_on_the_line_path(self, name):
+        data = NONCANONICAL_FILES[name]
+        assert matrix._parse_canonical(data) is None
+        assert parse_matrix(data) == parse_matrix(data.decode()) == identity(2)
+
 
 class TestSerializeSparse:
     """serialize_sparse walks the ones but must write what a loop over every cell writes."""

@@ -1,17 +1,19 @@
 """Run the benchmark as alternating pairs of two git revisions and summarise them.
 
     python tools/bench_pairs.py --parent REV --change REV --seeds 1,2,3 \
-        [--workloads W1,W2] [--seconds 12] [--out BENCH.json]
+        [--workloads W1,W2] [--out BENCH.json]
 
 Each REV is resolved with ``git rev-parse --verify REV^{commit}`` in the
 repository that holds this tool and unpacked with ``git archive`` into a
 fresh temporary tree, deleted at the end, so each side runs exactly its
 commit's files: no ``.git``, no bytecode, nothing a test run left behind.
-For each workload (default: every one in the change's ``BENCHMARK.json``)
-and each seed, in order, the tool runs
-``python3 benchmark/run.py --workload W --seed S --seconds T --trace 0`` once
-in each tree, the parent first on even pairs and the change first on odd
-ones, and reads the JSON on the run's last line of output. For each
+For each workload (default: every one in the change's ``BENCHMARK.json``;
+a name it does not list fails before the first run) and each seed, in
+order, the tool runs
+``python3 benchmark/run.py --workload W --seed S --seconds T --trace 0``,
+with T the change's ``run_seconds``, once in each tree, the parent first on
+even pairs and the change first on odd ones, and reads the JSON on the
+run's last line of output. For each
 end-to-end metric of the change's ``BENCHMARK.json`` the workload's entry
 holds each side's runs, median and quartiles, the change's wins, whether
 the gain rule holds (wins on at least 9 of 10 pairs and a gap between the
@@ -25,13 +27,13 @@ before the first run, so a path that cannot be written fails at once.
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 GAIN_SHARE = 0.9  # the change must win at least this share of the pairs
@@ -110,9 +112,8 @@ def compare(parent_runs, change_runs, metrics) -> dict:
         values = [[run["metrics"][name]["value"] for run in runs]
                   for runs in (parent_runs, change_runs)]
         out[name] = {"unit": spec["unit"], **summarize(*values, spec["better"], spec["bound"])}
-    ops = {side: {"attempted": sum(r["attempted"] for r in runs),
-                  "failed": sum(r["failed"] for r in runs)}
-           for side, runs in (("parent", parent_runs), ("change", change_runs))}
+    ops = {side: {key: sum(r[key] for r in runs) for key in ("attempted", "failed")}
+           for side, runs in zip(SIDES, (parent_runs, change_runs))}
     return {"metrics": out, "operations": ops}
 
 
@@ -144,21 +145,21 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="git revision of the change")
     p.add_argument("--workloads", help="comma-separated (default: all in BENCHMARK.json)")
     p.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    p.add_argument("--seconds", type=float, default=12)
-    p.add_argument("--out", type=argparse.FileType("w"), default="-",
-                   help="JSON file to write (default: stdout)")
+    p.add_argument("--out", type=argparse.FileType("w"), default="-", help="default: stdout")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         trees = {"parent": parent, "change": change}
         commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
-        with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-            spec = json.load(fh)
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [w["name"] for w in spec["workloads"]])
-        doc = {"what": f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g}"
+        spec = json.loads(Path(change, "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+        workloads = args.workloads.split(",") if args.workloads else names
+        if unknown := [w for w in workloads if w not in names]:
+            p.error(f"--workloads: not in BENCHMARK.json: {','.join(unknown)}")
+        seconds = spec["run_seconds"]
+        doc = {"what": f"python3 benchmark/run.py --workload W --seed S --seconds {seconds:g}"
                        " --trace 0, alternating parent/change pairs of git archives", **commits,
-               "workloads": {w: run_pairs(trees, w, seeds, args.seconds, spec["end_to_end"])
+               "workloads": {w: run_pairs(trees, w, seeds, seconds, spec["end_to_end"])
                              for w in workloads}}
     with args.out:
         args.out.write(json.dumps(doc, indent=1) + "\n")

@@ -1,10 +1,12 @@
 """Pattern containment in 0-1 matrices.
 
 Decide whether an n x n 0-1 matrix contains a forbidden 0-1 pattern, using
-quadratic-time scans for the recognized pattern families, a counter scan for
-all-ones rectangles, and a brute-force oracle for everything else; compute
-exact extremal values (the most ones an avoiding matrix can carry) for small
-n; and benchmark the scans to check their complexity empirically.
+early-exit kernels on bit-packed lines for the recognized pattern families
+and a pruned rows-first search (``contains_general``) for every other
+pattern, both checked against a brute-force oracle (``contains_naive``);
+compute exact extremal values (the most ones an avoiding matrix can carry)
+for small n; and benchmark the paper's full scans of the families to check
+their complexity empirically.
 
 The exports resolve lazily (PEP 562): ``import patcon`` loads no submodule,
 and ``patcon.X`` imports the submodule defining X on first use, so a
@@ -21,7 +23,7 @@ _EXPORTS = {
     "fast": """AllOnes BenchConfigError ColumnOnes Cross General Identity LShape PatternClass
         PrefilterResult RowOnes TupleIdentity UnsupportedPatternError classify_pattern
         contains_allones contains_column_ones contains_cross contains_general contains_identity
-        contains_lshape contains_tuple_identity dispatch max_allones_rows max_column_ones max_identity
+        contains_lshape contains_tuple_identity dispatch max_allones_rows max_column_ones
         max_lshape_height max_tuple_identity_width ones_prefilter""",
     "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache
         ex_exact load_cache save_cache verify_record""",

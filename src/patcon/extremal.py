@@ -21,12 +21,13 @@ that cannot strictly beat the best so far, and the witness is doubly sorted,
 as swapping an out-of-order pair of its rows or columns would give a
 lexicographically greater avoider with as many ones.
 
-Each search also stops at the first leaf whose ones reach ``fast.upper_bound``,
-the ``bound`` of P's family (m*n when P does not fit): a proven upper bound
-on the ones of any m x n avoider. The search keeps the first leaf with the
-most ones, so a leaf that reaches a proven bound is the witness the full
-search would return; only the nodes after it are saved. A leaf above the
-bound would disprove it and raises RuntimeError.
+Each search also stops at the first leaf whose ones reach its cap, a proven
+upper bound on the ones of any m x n avoider: ``fast.upper_bound``, the
+``bound`` of P's family (m*n when P does not fit), and for m > 1 rows also
+the row average m * strip[m-1] // (m-1). The search keeps the first leaf
+with the most ones, so a leaf that reaches a proven bound is the witness the
+full search would return; only the nodes after it are saved. A leaf above
+the cap would disprove it and raises RuntimeError.
 
 Containment is decided incrementally. The search only extends avoiders, and
 a new 1 at (r, c) comes after every 1 already placed, so the extended matrix
@@ -86,7 +87,7 @@ class ExtremalRecord(Frozen):
     record did not come from a search), the searches for ``strip``, ex(m x n,
     P) for m < n, included; ``cut_*`` count the branches each rule cut, ``searches``
     the searches run, strips included, ``closed`` those that reached their
-    ``upper_bound``, and ``cap`` the n x n search's (None if no search ran).
+    cap (a proven bound), and ``cap`` the n x n search's (None if no search ran).
     """
 
     _fields = ("n", "pattern", "value", "witness", "nodes", "cut_contained", "cut_bound",
@@ -211,7 +212,10 @@ def ex_exact(n: int, P: BitMatrix, node_budget: int = DEFAULT_NODE_BUDGET) -> Ex
         if m < n and (m < P.rows or n < P.cols):
             value = m * n  # P does not fit, so the strip is all ones
         else:
-            cap = bound(m, n)
+            # Deleting any one row of an m x n avoider leaves an (m-1) x n
+            # avoider. Over the m rows each 1 is kept m-1 times, so for m > 1,
+            # (m-1) * ones <= m * strip[m-1].
+            cap = bound(m, n) if m == 1 else min(bound(m, n), m * strip[m - 1] // (m - 1))
             value, cells, nodes, more = _search(m, n, P, strip, cap, nodes, node_budget)
             cuts = tuple(map(sum, zip(cuts, more)))
             searches, closed = searches + 1, closed + (value == cap)

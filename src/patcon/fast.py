@@ -141,11 +141,6 @@ def _block_levels(masks, j: int, k: int) -> bool:
     return False
 
 
-def max_identity(A: BitMatrix) -> int:
-    """Largest k such that A contains the k x k identity (0 for all-zero A)."""
-    return max_tuple_identity_width(A, 1)
-
-
 def contains_identity(A: BitMatrix, k: int) -> bool:
     """True iff A contains the k x k identity: a chain of ones down and to the right."""
     if k < 1:
@@ -492,7 +487,7 @@ def _corner(n: int, rows: int, cols: int) -> BitMatrix:
 # a-c rows and the first d-1 and last b-d columns leaves every 1 in a band
 # where one arm is too short.
 def _arm_bound(m: int, n: int, a: int, b: int) -> int:
-    """ex(m x n, P) for every a x b cross P (lines and L-shapes too), m >= a and n >= b."""
+    """ex(m x n, P), m >= a and n >= b, for every a x b cross P (lines and L-shapes too) and I_a."""
     return m * n - (m - a + 1) * (n - b + 1)
 
 
@@ -555,13 +550,14 @@ class Identity(PatternClass):
     read = lambda P: (P.rows,) if P.rows == P.cols else None
     build = identity
     contains = lambda self, A: contains_identity(A, self.k)
-    scan = lambda self, A: max_identity(A) >= self.k
+    scan = lambda self, A: max_tuple_identity_width(A, 1) >= self.k
     avoider = lambda self, n: _corner(n, self.k - 1, self.k - 1)
     # Label each 1 with the length t < k of the longest increasing chain
     # ending at it (Mirsky). No two 1s labelled t form an increasing pair
     # and none lies in the first t-1 rows or columns, so each of the
-    # m+n-2t+1 diagonals of the corner left holds at most one of them.
-    bound = lambda self, m, n: (self.k - 1) * (m + n - self.k + 1)
+    # m+n-2t+1 diagonals of the corner left holds at most one of them:
+    # sum over t < k of m+n-2t+1 is (k-1)(m+n-k+1) = _arm_bound(m, n, k, k).
+    bound = lambda self, m, n: _arm_bound(m, n, self.k, self.k)
 
 
 class TupleIdentity(PatternClass):

@@ -13,6 +13,9 @@ per-cell forms of ``bench.gen_random`` and ``matrix.serialize_sparse``: one
 ``random()`` draw per cell and one loop step per cell. The library's forms
 must give byte-identical output.
 
+``ex_by_enumeration`` is ex(m x n, P) by brute force on bit masks, for every
+matrix up to 4 x 4; it shares no code with the library.
+
 ``ex_reference`` is the extremal search in its plain recursive form, deciding
 every node with a full ``contains_naive`` call and bounding by the cells left
 only; the library's ``ex_exact`` must reproduce its value and witness.
@@ -94,6 +97,25 @@ def identity_dp(A: BitMatrix, j: int = 1):
                     v = max(v, 1 + D[one_rows[-j] + 1][c + 1])
             D[r][c] = v
     return tuple(tuple(row) for row in D)
+
+
+def ex_by_enumeration(n: int, P: BitMatrix, m: int | None = None) -> int:
+    """ex(m x n, P), m = n unless given, by brute force over every m x n matrix.
+
+    A matrix is an int of mn bits, cell (r, c) counted from 0 at bit rn + c.
+    A copy is the mask of the cells where one choice of P.rows rows and
+    P.cols columns puts P's ones, and a matrix contains P exactly when it
+    covers a copy.
+    """
+    m = n if m is None else m
+    ones = [divmod(i, P.cols) for i, v in enumerate(P.cells) if v]
+    copies = [sum(1 << rows[i] * n + cols[j] for i, j in ones)
+              for rows in combinations(range(m), P.rows) for cols in combinations(range(n), P.cols)]
+    best = 0
+    for M in range(1 << m * n):
+        if M.bit_count() > best and all(M & c != c for c in copies):
+            best = M.bit_count()
+    return best
 
 
 def ex_reference(n: int, P: BitMatrix) -> ExtremalRecord:

@@ -7,7 +7,6 @@ randomized n=32 equivalence, desk-scale timing) are marked ``slow``;
 """
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -39,7 +38,7 @@ from patcon import (
 from patcon.fast import PrefilterResult
 from patcon.cli import main as cli_main
 
-from helpers import identity_dp, random_matrix
+from helpers import ex_by_enumeration, identity_dp, random_matrix
 
 
 def criterion_pattern_set():
@@ -108,20 +107,11 @@ def test_criterion_3_tuple_identity_regression():
     _finish("criterion 3 (tuple-identity block-boundary regression)", failures)
 
 
-def _ex_by_decreasing_ones(n, P):
-    positions = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-    for k in range(n * n, -1, -1):
-        for chosen in combinations(positions, k):
-            if not contains_naive(BitMatrix.from_entries(n, n, chosen), P):
-                return k
-    raise AssertionError("unreachable")
-
-
 def test_criterion_4_extremal_cross_validation():
     P = all_ones(2, 2)
     failures = []
     got = [ex_exact(n, P).value for n in range(1, 5)]
-    independent = [_ex_by_decreasing_ones(n, P) for n in (1, 2, 3, 4)]
+    independent = [ex_by_enumeration(n, P) for n in (1, 2, 3, 4)]
     if got != independent:
         failures.append(f"search {got} != enumeration {independent}")
     if got != [1, 3, 6, 9]:

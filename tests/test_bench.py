@@ -280,7 +280,7 @@ class TestRunnerFor:
     # label -> (fitting pattern, paper scan, kernel), names in patcon.fast
     CASES = {
         "column": (all_ones(2, 1), "max_column_ones", "contains_column_ones"),
-        "identity": (identity(3), "max_identity", "contains_identity"),
+        "identity": (identity(3), "max_tuple_identity_width", "contains_identity"),
         "tuple-identity": (tuple_identity(2, 2), "max_tuple_identity_width",
                            "contains_tuple_identity"),
         "lshape": (lshape(2, 2), "max_lshape_height", "contains_lshape"),

@@ -401,7 +401,8 @@ class TestExtremal:
 
     def test_searches_closed_at_their_bound_reported_on_stderr(self, files, capsys):
         # I3 fits the strips m = 3, 4 and the 5 x 5 search; each stops at
-        # (k-1)(m+n-k+1). G has no bound but 25, which no search reaches.
+        # (k-1)(m+n-k+1). G's family bound is m*n, but the row average
+        # m * strip[m-1] // (m-1) closes its 3 x 5 and 4 x 5 strips at 10 and 13.
         p = files("p.txt", identity(3))
         assert main(["extremal", "--pattern", p, "--n", "5"]) == 0
         captured = capsys.readouterr()
@@ -412,8 +413,10 @@ class TestExtremal:
         assert main(["extremal", "--pattern", g, "--n", "5"]) == 0
         captured = capsys.readouterr()
         assert captured.out == "ex(5,P) = 15\n"
-        assert len(captured.err.splitlines()) == 2
-        assert "closed" not in captured.err
+        assert captured.err.splitlines()[1:] == [
+            "ex(5,P): cut 34436 by containment, 36437 by bound, 0 by symmetry; "
+            "strip table ex(m x 5,P), m < 5: 5 7 10 13",
+            "ex(5,P): 2 of 4 searches closed at a proven upper bound (16 for the n x n search)"]
 
     def test_n1_reports_an_empty_strip_table(self, files, capsys):
         p = files("p.txt", all_ones(2, 2))

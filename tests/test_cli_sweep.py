@@ -25,7 +25,7 @@ from patcon.fast import ALGOS
 
 from helpers import all_patterns_up_to, random_matrix
 
-SWEEP_SHA256 = "8a00fc0b8044049240d6e224c54da7cb3e4f8bdc1911ab5c94b49c783a9f40be"
+SWEEP_SHA256 = "cff45c9f4950fd69f79fb47b249b3815e1cfbd1ee4e8ad58ce3f6ef30c198d66"
 
 
 def sweep(tmp_path, capsys):

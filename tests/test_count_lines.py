@@ -1,6 +1,8 @@
 """The line counter in ``tools/count_lines.py``: which lines count as code."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_lines.py"
@@ -50,3 +52,10 @@ def test_each_file_then_the_total_per_path(tmp_path, capsys):
         f"      2       1  {tmp_path / 'pkg' / 'b.py'}",
         f"      2       1  {tmp_path / 'pkg' / 'b.py'} (total)",
     ]
+
+
+def test_default_paths_from_the_repository_root():
+    out = subprocess.run([sys.executable, str(TOOL)], cwd=TOOL.parents[1], capture_output=True,
+                         text=True, check=True).stdout
+    totals = [line.rsplit("  ", 1)[1] for line in out.splitlines() if line.endswith("(total)")]
+    assert totals == ["src/patcon (total)", "tools (total)", "tests (total)"]

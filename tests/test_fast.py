@@ -29,7 +29,6 @@ from patcon import (
     lshape,
     max_allones_rows,
     max_column_ones,
-    max_identity,
     max_lshape_height,
     max_tuple_identity_width,
     ones_prefilter,
@@ -114,21 +113,21 @@ class TestIdentityDP:
         rng = random.Random(37)
         for _ in range(100):
             A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
-            assert identity_dp(A)[1][1] == max_identity(A)
+            assert identity_dp(A)[1][1] == max_tuple_identity_width(A, 1)
 
 
 class TestIdentity:
     def test_all_ones_has_full_identity(self):
         for n in (1, 2, 5):
-            assert max_identity(all_ones(n, n)) == n
+            assert max_tuple_identity_width(all_ones(n, n), 1) == n
 
     def test_anti_diagonal(self):
         A = BitMatrix.from_entries(3, 3, [(1, 3), (2, 2), (3, 1)])
-        assert max_identity(A) == 1
+        assert max_tuple_identity_width(A, 1) == 1
 
     def test_two_swaps(self):
         A = BitMatrix.from_entries(4, 4, [(1, 2), (2, 1), (3, 4), (4, 3)])
-        assert max_identity(A) == 2
+        assert max_tuple_identity_width(A, 1) == 2
 
     def test_exact_sizes(self):
         assert contains_identity(identity(3), 3)

@@ -1,6 +1,6 @@
 """Count the lines and the code lines of the Python files under some paths.
 
-    python tools/count_lines.py [PATH ...]    (default: src/patcon tests)
+    python tools/count_lines.py [PATH ...]    (default: src/patcon tools tests)
 
 For each ``.py`` file under each PATH (a file or a directory, searched
 recursively) it prints the ``wc -l`` count, the code-line count and the file,
@@ -54,4 +54,4 @@ def main(roots) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or ["src/patcon", "tests"]))
+    sys.exit(main(sys.argv[1:] or ["src/patcon", "tools", "tests"]))

@@ -1,9 +1,12 @@
 """Shared test utilities: an independent textbook oracle and input generators.
 
-``contains_textbook`` enumerates every row subset AND every column subset and
-checks each pattern cell directly. It shares no code path with the library's
-oracle (which enumerates rows only and matches columns greedily), so the two
-can validate each other.
+``copy_masks`` is the one brute-force definition of containment: a copy of P
+is a choice of P.rows rows and P.cols columns, as the mask of the cells where
+it puts P's ones, and a matrix contains P exactly when it covers a copy.
+``contains_textbook`` and ``ex_by_enumeration`` both test matrices against
+these masks. They share no code path with the library's oracle (which
+enumerates rows only and matches columns greedily), so the two can validate
+each other.
 
 ``identity_dp`` is the identity dynamic program with its full suffix table
 kept, the reference for the rolling two-column form in ``fast.max_tuple_identity_width``.
@@ -13,8 +16,8 @@ per-cell forms of ``bench.gen_random`` and ``matrix.serialize_sparse``: one
 ``random()`` draw per cell and one loop step per cell. The library's forms
 must give byte-identical output.
 
-``ex_by_enumeration`` is ex(m x n, P) by brute force on bit masks, for every
-matrix up to 4 x 4; it shares no code with the library.
+``ex_by_enumeration`` is ex(m x n, P) by brute force over every m x n matrix
+up to 4 x 4.
 
 ``ex_reference`` is the extremal search in its plain recursive form, deciding
 every node with a full ``contains_naive`` call and bounding by the cells left
@@ -22,25 +25,25 @@ only; the library's ``ex_exact`` must reproduce its value and witness.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from patcon import BitMatrix, ExtremalRecord, contains_naive
 
 
+def copy_masks(P: BitMatrix, m: int, n: int) -> list:
+    """P's copies in an m x n matrix, as masks with cell (r, c), counted from 0, at bit rn + c.
+
+    There is one for every choice of P.rows rows and P.cols columns, none if P does not fit.
+    """
+    ones = [divmod(i, P.cols) for i, v in enumerate(P.cells) if v]
+    return [sum(1 << rows[i] * n + cols[j] for i, j in ones)
+            for rows in combinations(range(m), P.rows) for cols in combinations(range(n), P.cols)]
+
+
 def contains_textbook(A: BitMatrix, P: BitMatrix) -> bool:
-    if P.rows > A.rows or P.cols > A.cols:
-        return False
-    pat_ones = [
-        (i, j)
-        for i in range(1, P.rows + 1)
-        for j in range(1, P.cols + 1)
-        if P.get(i, j)
-    ]
-    for rsel in combinations(range(1, A.rows + 1), P.rows):
-        for csel in combinations(range(1, A.cols + 1), P.cols):
-            if all(A.get(rsel[i - 1], csel[j - 1]) for i, j in pat_ones):
-                return True
-    return False
+    """True iff A, as a mask with cell i of its row-major cells at bit i, covers a copy of P."""
+    M = sum(1 << i for i, v in enumerate(A.cells) if v)
+    return any(M & c == c for c in copy_masks(P, A.rows, A.cols))
 
 
 def random_matrix(rng, rows: int, cols: int, density: float = 0.5) -> BitMatrix:
@@ -61,10 +64,9 @@ def serialize_sparse_reference(M: BitMatrix) -> str:
 
 
 def all_matrices(rows: int, cols: int):
-    """Every rows x cols 0-1 matrix, 2^(rows*cols) of them."""
-    total = rows * cols
-    for bits in range(1 << total):
-        yield BitMatrix(rows, cols, bytes((bits >> i) & 1 for i in range(total)))
+    """Every rows x cols 0-1 matrix, 2^(rows*cols) of them, the first cell changing fastest."""
+    for cells in product(b"\0\1", repeat=rows * cols):
+        yield BitMatrix(rows, cols, bytes(cells[::-1]))
 
 
 def all_patterns_up_to(max_rows: int, max_cols: int, require_ones: bool = False):
@@ -100,17 +102,9 @@ def identity_dp(A: BitMatrix, j: int = 1):
 
 
 def ex_by_enumeration(n: int, P: BitMatrix, m: int | None = None) -> int:
-    """ex(m x n, P), m = n unless given, by brute force over every m x n matrix.
-
-    A matrix is an int of mn bits, cell (r, c) counted from 0 at bit rn + c.
-    A copy is the mask of the cells where one choice of P.rows rows and
-    P.cols columns puts P's ones, and a matrix contains P exactly when it
-    covers a copy.
-    """
+    """ex(m x n, P), m = n unless given: the most ones of an m x n matrix covering no copy."""
     m = n if m is None else m
-    ones = [divmod(i, P.cols) for i, v in enumerate(P.cells) if v]
-    copies = [sum(1 << rows[i] * n + cols[j] for i, j in ones)
-              for rows in combinations(range(m), P.rows) for cols in combinations(range(n), P.cols)]
+    copies = copy_masks(P, m, n)
     best = 0
     for M in range(1 << m * n):
         if M.bit_count() > best and all(M & c != c for c in copies):

@@ -491,6 +491,8 @@ class TestExtremal:
         ("--cache-out", "p.txt/cache.txt"),  # under a file
         ("--witness-out", "p.txt"),  # a file
         ("--witness-out", "missing/wit"),  # no parent is made
+        ("--cache-out", ""),
+        ("--witness-out", ""),
     ])
     def test_bad_output_path_fails_before_any_search(self, files, tmp_path, capsys, monkeypatch,
                                                      option, where):
@@ -499,7 +501,7 @@ class TestExtremal:
 
         monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
         p = files("p.txt", identity(2))
-        path = os.path.normpath(tmp_path / where)
+        path = where and os.path.normpath(tmp_path / where)
         # the error open() or mkdir() raises when it is reached after the searches
         with pytest.raises(OSError) as exc:
             os.mkdir(path) if option == "--witness-out" else open(path, "w")
@@ -520,32 +522,6 @@ class TestExtremal:
         capsys.readouterr()
         assert not new.exists()
         assert old.read_text() == "kept\n"
-
-    def test_empty_cache_out_fails_before_any_search(self, files, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("searched before checking an output path")
-
-        monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
-        p = files("p.txt", identity(2))
-        with pytest.raises(OSError) as exc:
-            open("", "w")
-        code = main(["extremal", "--pattern", p, "--n-max", "3", "--cache-out", ""])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"patcon: error: {exc.value}\n"
-
-    def test_empty_witness_out_fails_before_any_search(self, files, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("searched before checking an output path")
-
-        monkeypatch.setattr(patcon.extremal, "ex_exact", refuse)
-        p = files("p.txt", identity(2))
-        with pytest.raises(OSError) as exc:
-            os.mkdir("")
-        code = main(["extremal", "--pattern", p, "--n", "2", "--witness-out", ""])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"patcon: error: {exc.value}\n"
 
     @pytest.mark.parametrize("pattern, argv, code", [
         (identity(2), ["--n", "0"], 2),
@@ -625,8 +601,13 @@ class TestBench:
         assert code == 2
         assert capsys.readouterr().err == "patcon: error: need at least one algorithm label\n"
 
-    def test_missing_csv_directory_fails_before_generating(self, files, tmp_path, capsys,
-                                                            monkeypatch):
+    @pytest.mark.parametrize("where, error", [
+        ("missing/x.csv", "[Errno 2] No such file or directory: '{}'"),
+        (".", "[Errno 21] Is a directory: '{}'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+    ], ids=["missing-directory", "directory", "empty"])
+    def test_unwritable_csv_fails_before_generating(self, files, tmp_path, capsys, monkeypatch,
+                                                     where, error):
         import patcon.bench
 
         def refuse(*args):
@@ -634,42 +615,13 @@ class TestBench:
 
         monkeypatch.setattr(patcon.bench, "gen_random", refuse)
         p = files("p.txt", identity(2))
-        csv = tmp_path / "missing" / "x.csv"
-        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3",
-                     "--csv", str(csv)])
-        assert code == 2
+        csv = where and os.path.normpath(tmp_path / where)
+        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3", "--csv", csv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
         # the message open() gives when it fails after the timings
-        assert capsys.readouterr().err == (
-            f"patcon: error: [Errno 2] No such file or directory: '{csv}'\n"
-        )
-        assert not csv.parent.exists()
-
-    def test_csv_directory_fails_before_generating(self, files, tmp_path, capsys, monkeypatch):
-        import patcon.bench
-
-        def refuse(*args):
-            raise AssertionError("generated inputs for an unwritable --csv")
-
-        monkeypatch.setattr(patcon.bench, "gen_random", refuse)
-        p = files("p.txt", identity(2))
-        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3",
-                     "--csv", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"patcon: error: [Errno 21] Is a directory: '{tmp_path}'\n"
-
-    def test_empty_csv_path_fails_before_generating(self, files, capsys, monkeypatch):
-        import patcon.bench
-
-        def refuse(*args):
-            raise AssertionError("generated inputs for an unwritable --csv")
-
-        monkeypatch.setattr(patcon.bench, "gen_random", refuse)
-        p = files("p.txt", identity(2))
-        code = main(["bench", "--pattern", p, "--sizes", "8,16", "--trials", "3", "--csv", ""])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == "patcon: error: [Errno 2] No such file or directory: ''\n"
+        assert captured.err == f"patcon: error: {error.format(csv)}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_bad_sizes_exit_two(self, files, tmp_path, capsys):
         p = files("p.txt", identity(2))

@@ -71,12 +71,6 @@ class TestFrozenValues:
 
 
 class TestAgainstEnumeration:
-    def test_all_small_patterns_up_to_n3(self):
-        patterns = list(all_patterns_up_to(2, 2, require_ones=True))
-        for n in (1, 2, 3):
-            for P in patterns:
-                assert ex_exact(n, P).value == ex_by_enumeration(n, P)
-
     def test_row_averaging_on_strips(self):
         # ex(m x n) <= m * ex((m-1) x n) // (m-1) caps every search of m > 1
         # rows. A capped search cannot show that its cap is too low, so only

@@ -1,4 +1,4 @@
-"""Specialized scans against the oracle, DP table invariants, and reductions."""
+"""Specialized scans against the oracle, DP table invariants, and argument guards."""
 
 import random
 from functools import lru_cache
@@ -28,7 +28,6 @@ from patcon import (
     identity,
     lshape,
     max_allones_rows,
-    max_column_ones,
     max_lshape_height,
     max_tuple_identity_width,
     ones_prefilter,
@@ -39,7 +38,8 @@ from patcon import (
 
 from patcon import fast, matrix
 from patcon.bench import gen_avoider
-from patcon.fast import LABELS, General, RowOnes, classify_pattern, match_label
+from patcon.fast import (LABELS, AllOnes, ColumnOnes, Cross, General, Identity, LShape, RowOnes,
+                         TupleIdentity, classify_pattern, match_label)
 
 from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
 from test_matrix import bit_matrices
@@ -53,23 +53,6 @@ class TestColumnOnes:
     def test_two_in_one_column(self):
         A = BitMatrix.from_entries(3, 3, [(1, 2), (3, 2)])
         assert contains_column_ones(A, 2)
-
-    def test_exhaustive_3x3(self):
-        for A in all_matrices(3, 3):
-            for k in range(1, 5):
-                assert contains_column_ones(A, k) == contains_naive(A, all_ones(k, 1))
-
-    def test_max_agrees_with_contains(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.4)
-            m = max_column_ones(A)
-            for k in range(1, A.rows + 2):
-                assert contains_column_ones(A, k) == (m >= k)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            contains_column_ones(identity(2), 0)
 
 
 class TestIdentityDP:
@@ -133,17 +116,6 @@ class TestIdentity:
         assert contains_identity(identity(3), 3)
         assert not contains_identity(identity(3), 4)
 
-    def test_random_16x16_vs_oracle(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            A = random_matrix(rng, 16, 16, rng.choice([0.05, 0.15]))
-            assert contains_identity(A, 3) == contains_naive(A, identity(3))
-
-    def test_exhaustive_3x3(self):
-        for A in all_matrices(3, 3):
-            for k in (1, 2, 3):
-                assert contains_identity(A, k) == contains_naive(A, identity(k))
-
 
 # Transition that reuses the last row of a block for the next one; kept here
 # to pin the regression input that tells it apart from the correct scan.
@@ -175,24 +147,12 @@ class TestTupleIdentity:
         # the overlapping transition gets exactly this input wrong
         assert _tuple_scan_block_overlap(A, 2, 2)
 
-    def test_random_12x12_vs_oracle(self):
-        rng = random.Random(43)
-        for _ in range(15):
-            A = random_matrix(rng, 12, 12, rng.choice([0.1, 0.25]))
-            assert contains_tuple_identity(A, 2, 2) == contains_naive(A, tuple_identity(2, 2))
-
-    def test_width_one_reduces_to_identity(self):
-        rng = random.Random(47)
-        for _ in range(200):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.4)
-            for k in (1, 2, 3):
-                assert contains_tuple_identity(A, 1, k) == contains_identity(A, k)
-
     def test_exhaustive_4x4_j2(self):
         pats = {k: tuple_identity(2, k) for k in (1, 2)}
         for A in all_matrices(4, 4):
+            width = max_tuple_identity_width(A, 2)
             for k, P in pats.items():
-                assert contains_tuple_identity(A, 2, k) == contains_naive(A, P)
+                assert contains_tuple_identity(A, 2, k) == (width >= k) == contains_naive(A, P)
 
     # Blocks complete on the same row: (1) block 1 ends on row 2 in column 1, where block 2's
     # column 2 also has a 1, which must not count; (2) block 1 ends on row 2 in both columns,
@@ -207,15 +167,6 @@ class TestTupleIdentity:
     def test_row_mask_kernel_matches_oracle(self, A, j, k):
         assert contains_tuple_identity(A, j, k) == contains_naive(A, tuple_identity(j, k))
 
-    def test_max_agrees_with_contains(self):
-        rng = random.Random(53)
-        for _ in range(150):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
-            for j in (1, 2, 3):
-                m = max_tuple_identity_width(A, j)
-                for k in range(1, 5):
-                    assert contains_tuple_identity(A, j, k) == (m >= k)
-
 
 class TestLShape:
     def test_contains_itself(self):
@@ -229,24 +180,9 @@ class TestLShape:
         A = BitMatrix.from_entries(3, 3, [(3, 1), (3, 2), (3, 3), (2, 1), (1, 1)])
         assert contains_lshape(A, 3, 3)
 
-    def test_exhaustive_3x3(self):
-        for A in all_matrices(3, 3):
-            for h in (1, 2, 3):
-                for w in (1, 2, 3):
-                    assert contains_lshape(A, h, w) == contains_naive(A, lshape(h, w))
-
     def test_oversize_dimensions(self):
         assert not contains_lshape(all_ones(3, 3), 4, 1)
         assert not contains_lshape(all_ones(3, 3), 1, 4)
-
-    def test_max_agrees_with_contains(self):
-        rng = random.Random(59)
-        for _ in range(200):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5)
-            for w in (1, 2, 3):
-                m = max_lshape_height(A, w)
-                for h in range(1, A.rows + 2):
-                    assert contains_lshape(A, h, w) == (m >= h)
 
 
 class TestCross:
@@ -260,22 +196,6 @@ class TestCross:
         for _ in range(50):
             A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 0.2)
             assert contains_cross(A, 1, 1, 1, 1) == (count_ones(A) >= 1)
-
-    def test_exhaustive_3x3(self):
-        shapes = [
-            (a, b, c, d)
-            for a in (1, 2, 3)
-            for b in (1, 2, 3)
-            for c in range(1, a + 1)
-            for d in range(1, b + 1)
-        ]
-        for A in all_matrices(3, 3):
-            for a, b, c, d in shapes:
-                assert contains_cross(A, a, b, c, d) == contains_naive(A, cross(a, b, c, d))
-
-    def test_rejects_bad_center(self):
-        with pytest.raises(ValueError):
-            contains_cross(identity(2), 2, 2, 3, 1)
 
 
 class TestAllOnes:
@@ -293,27 +213,11 @@ class TestAllOnes:
         assert not contains_allones(identity(4), 2, 1)
         assert contains_allones(identity(4), 1, 1)
 
-    def test_exhaustive_3x3(self):
-        for A in all_matrices(3, 3):
-            for k in (1, 2, 3):
-                for l in (1, 2, 3):
-                    assert contains_allones(A, k, l) == contains_naive(A, all_ones(k, l))
-
     def test_orientation_transpose(self):
         rng = random.Random(71)
         for _ in range(100):
             A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.6)
             assert contains_allones(A, 3, 2) == contains_allones(transpose(A), 2, 3)
-
-    def test_max_agrees_with_contains(self):
-        rng = random.Random(73)
-        for _ in range(150):
-            A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 0.6)
-            for t in (1, 2):
-                m = max_allones_rows(A, t)
-                for k in range(max(t, 1), A.rows + 2):
-                    # k rows sharing t columns = containment of the k x t rectangle
-                    assert contains_allones(A, k, t) == (m >= k and t <= A.cols)
 
 
 class TestPrefilter:
@@ -407,30 +311,42 @@ class TestEveryRoute:
         assert fitted == set(LABELS)
 
 
-# Kernel parameters beyond criterion 1's set, each with the pattern it decides.
+# Every family's kernel and paper scan, each case a classified pattern. Column, row, identity
+# and L-shape heights reach 9, past the 8 rows of the matrices the scans are tested on.
 KERNEL_CASES = (
-    [(contains_column_ones, (k,), all_ones(k, 1)) for k in range(1, 6)]
-    + [(RowOnes(w).contains, (), all_ones(1, w)) for w in range(1, 6)]
-    + [(contains_identity, (k,), identity(k)) for k in range(1, 6)]
-    + [(contains_tuple_identity, (j, k), tuple_identity(j, k))
-       for j in range(1, 4) for k in range(1, 4)]
-    + [(contains_lshape, (h, w), lshape(h, w)) for h in range(1, 6) for w in range(1, 6)]
-    + [(contains_cross, (a, b, c, d), cross(a, b, c, d))
-       for a in range(1, 6) for b in range(1, 6)
+    [ColumnOnes(k) for k in range(1, 10)]
+    + [RowOnes(w) for w in range(1, 10)]
+    + [Identity(k) for k in range(1, 10)]
+    + [TupleIdentity(j, k) for j in range(1, 4) for k in range(1, 4)]
+    + [LShape(h, w) for h in range(1, 10) for w in range(1, 6)]
+    + [Cross(a, b, c, d) for a in range(1, 6) for b in range(1, 6)
        for c in range(1, a + 1) for d in range(1, b + 1)]
-    + [(contains_allones, (k, l), all_ones(k, l))
-       for k in range(1, 5) for l in range(1, 5) if min(k, l) <= 3]
+    + [AllOnes(k, l) for k in range(1, 5) for l in range(1, 5) if min(k, l) <= 3]
 )
 
 
+def pattern(shape):
+    """The pattern a case decides: its class's factory on its fields."""
+    return type(shape).build(*vars(shape).values())
+
+
+MATRICES_3X3 = list(all_matrices(3, 3))
+
+
 class TestKernels:
-    """The word-level contains_* kernels against the oracle, and against the paper's scans."""
+    """Each family's kernel against its paper scan and the oracle."""
 
     @given(bit_matrices(max_rows=8, max_cols=8), st.sampled_from(KERNEL_CASES))
     @settings(max_examples=3000, deadline=None)
-    def test_kernel_matches_oracle(self, A, case):
-        kernel, args, P = case
-        assert kernel(A, *args) == contains_naive(A, P), (kernel.__name__, args)
+    def test_kernel_matches_oracle(self, A, shape):
+        assert shape.contains(A) == shape.scan(A) == contains_naive(A, pattern(shape)), str(shape)
+
+    @pytest.mark.parametrize(
+        "shape", [s for s in KERNEL_CASES if pattern(s).rows <= 3 and pattern(s).cols <= 3], ids=str)
+    def test_exhaustive_3x3(self, shape):
+        P = pattern(shape)
+        for A in MATRICES_3X3:
+            assert shape.contains(A) == shape.scan(A) == contains_naive(A, P), A
 
     @staticmethod
     def _planted(A, P, rng):
@@ -612,36 +528,20 @@ class TestCrossScan:
         assert len(packed) == 3
 
 
-class TestReductions:
-    def test_consistency_identities(self):
-        rng = random.Random(89)
-        for _ in range(200):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.45)
-            k = rng.randint(1, 4)
-            w = rng.randint(1, 4)
-            assert contains_tuple_identity(A, 1, k) == contains_identity(A, k)
-            assert contains_allones(A, k, 1) == contains_column_ones(A, k)
-            assert contains_lshape(A, k, 1) == contains_column_ones(A, k)
-            assert contains_lshape(A, 1, w) == contains_allones(A, 1, w)
-
-    def test_lshape_is_a_cross(self):
-        rng = random.Random(97)
-        for _ in range(200):
-            A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.45)
-            h = rng.randint(1, 4)
-            w = rng.randint(1, 4)
-            assert contains_lshape(A, h, w) == contains_cross(A, h, w, h, 1)
-
-
 A3 = identity(3)
 
 # (call, error class, message) for every argument guard of the public functions
 GUARDS = [
+    # its own id: contains_identity's guard below has the same message
+    pytest.param(lambda: contains_column_ones(A3, 0), ValueError, "k must be positive",
+                 id="column-ValueError-k must be positive"),
     (lambda: contains_identity(A3, 0), ValueError, "k must be positive"),
     (lambda: contains_tuple_identity(A3, 0, 1), ValueError, "j and k must be positive"),
     (lambda: max_tuple_identity_width(A3, 0), ValueError, "j must be positive"),
     (lambda: contains_lshape(A3, 0, 1), ValueError, "h and w must be positive"),
     (lambda: max_lshape_height(A3, 0), ValueError, "w must be positive"),
+    (lambda: contains_cross(A3, 2, 2, 3, 1), ValueError,
+     "cross center must satisfy 1 <= c <= a and 1 <= d <= b"),
     (lambda: contains_allones(A3, 1, 0), ValueError, "k and l must be positive"),
     (lambda: max_allones_rows(A3, 0), ValueError, "t must be positive"),
     (lambda: BitMatrix.from_rows([]), ValueError, "need at least one row"),

@@ -197,6 +197,10 @@ class TestCross:
             A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 0.2)
             assert contains_cross(A, 1, 1, 1, 1) == (count_ones(A) >= 1)
 
+    def test_rejects_bad_center(self):
+        with pytest.raises(ValueError, match=r"^cross center must satisfy 1 <= c <= a and 1 <= d <= b$"):
+            contains_cross(identity(2), 2, 2, 3, 1)
+
 
 class TestAllOnes:
     def test_full_matrix(self):
@@ -540,8 +544,6 @@ GUARDS = [
     (lambda: max_tuple_identity_width(A3, 0), ValueError, "j must be positive"),
     (lambda: contains_lshape(A3, 0, 1), ValueError, "h and w must be positive"),
     (lambda: max_lshape_height(A3, 0), ValueError, "w must be positive"),
-    (lambda: contains_cross(A3, 2, 2, 3, 1), ValueError,
-     "cross center must satisfy 1 <= c <= a and 1 <= d <= b"),
     (lambda: contains_allones(A3, 1, 0), ValueError, "k and l must be positive"),
     (lambda: max_allones_rows(A3, 0), ValueError, "t must be positive"),
     (lambda: BitMatrix.from_rows([]), ValueError, "need at least one row"),

@@ -23,8 +23,8 @@ _EXPORTS = {
     "fast": """AllOnes BenchConfigError ColumnOnes Cross General Identity LShape PatternClass
         PrefilterResult RowOnes TupleIdentity UnsupportedPatternError classify_pattern
         contains_allones contains_column_ones contains_cross contains_general contains_identity
-        contains_lshape contains_tuple_identity dispatch max_allones_rows max_column_ones
-        max_lshape_height max_tuple_identity_width ones_prefilter""",
+        contains_lshape contains_tuple_identity dispatch max_allones_rows
+        max_tuple_identity_width ones_prefilter""",
     "extremal": """DEFAULT_NODE_BUDGET ExtremalRecord SearchBudgetExceeded bounds_from_cache
         ex_exact load_cache save_cache verify_record""",
     "bench": "BenchReport bench_compare fit_exponent gen_avoider gen_random write_bench_csv",

@@ -5,9 +5,10 @@ ladder of sizes and fits the slope of log median-time against log n. A
 selector resolves by ``fast.decider`` as in ``check --algo``, but a scan
 label times its family's full scan: the worst-case cost claims being checked
 are about complete scans, and on random inputs the early-exit kernels would
-mostly measure how soon a threshold fires. The verdict is still derived
-from the scanned statistic and, for sizes up to 64, cross-checked against
-the brute-force oracle.
+mostly measure how soon a threshold fires. The verdict is the scan's: a
+``max_*`` scan's statistic against the pattern's size, or the tally scan's
+own verdict for lines, L-shapes and crosses. For sizes up to 64 it is
+cross-checked against the brute-force oracle.
 
 Generation is deterministic: ``gen_random(n, density, seed)`` decides cell
 (r, c) by the (r·n + c)-th ``random()`` float of ``random.Random(seed)``,

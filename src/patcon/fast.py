@@ -22,14 +22,16 @@ changes none of them). ``row_masks`` skips the all-zero rows, which hold no
 * all-ones rectangle    -- a depth-min(k, l) search over ANDs of row or
                            column masks, kept while they have enough bits
 
-The ``max_*`` functions are the paper's scans, run to completion: a suffix
-dynamic program for (tuple) identity, per-column counters for L-shapes and
-columns, counters over t-subsets of one axis for all-ones rectangles, plus
-``_cross_tally_scan``, the cross scan, which has no max form. They report
-the extremal statistic (largest identity size, tallest L-shape, ...) and are
-what ``bench`` and the complexity gate time, because the paper's worst-case
-claims are about them; the kernels decide what ``dispatch`` and ``check``
-print, under the same labels.
+Beside each kernel is one of the paper's scans, and each scan reads every
+cell: ``max_tuple_identity_width``, a suffix dynamic program, for (tuple)
+identity; ``_cross_tally_scan``, left/right/up/down tallies around each 1,
+for crosses and so for L-shapes and lines of ones, which are crosses; and
+``max_allones_rows``, counters over t-subsets of one axis, for all-ones
+rectangles. The two ``max_*`` scans report an extremal statistic (the widest
+tuple identity, the most rows sharing t columns), the tally scan only the
+verdict. The scans are what ``bench`` and the complexity gate time, because
+the paper's worst-case claims are about them; the kernels decide what
+``dispatch`` and ``check`` print, under the same labels.
 
 Each pattern family is one ``PatternClass`` subclass, the whole description
 of it: its route label, the fields a pattern of P's size could have and the
@@ -87,11 +89,6 @@ from .naive import contains_naive
 
 
 # --- column of ones ----------------------------------------------------------
-
-
-def max_column_ones(A: BitMatrix) -> int:
-    """Largest number of ones in any single column of A."""
-    return max(sum(A.column(c)) for c in range(1, A.cols + 1))
 
 
 def contains_column_ones(A: BitMatrix, k: int) -> bool:
@@ -188,28 +185,6 @@ def contains_tuple_identity(A: BitMatrix, j: int, k: int) -> bool:
 # --- L-shape and cross ----------------------------------------------------------
 
 
-def max_lshape_height(A: BitMatrix, w: int) -> int:
-    """Largest h such that A contains the h x w L-shape (0 if none).
-
-    Per-column counters driven bottom-to-top: the counter of column x is the
-    tallest partial L of width w whose vertical arm sits in column x. It
-    starts (unconditional increment) only on a row with w ones from x
-    rightward, and grows (conditional increment) on any later one in column x.
-    """
-    if w < 1:
-        raise ValueError("w must be positive")
-    counters = [0] * A.cols
-    for r in range(A.rows, 0, -1):
-        xs = [i for i, v in enumerate(A.row(r)) if v]
-        starts = max(len(xs) - w + 1, 0)  # the ones with at least w-1 ones to their right
-        for x in xs[:starts]:
-            counters[x] += 1
-        for x in xs[starts:]:
-            if counters[x]:
-                counters[x] += 1
-    return max(counters)
-
-
 def _arm_scan(rows, up: int, down: int, left: int, right: int) -> bool:
     """True iff some 1 of the rows has ``up`` ones above, ``down`` below, ``left`` before, ``right`` after.
 
@@ -269,8 +244,10 @@ def contains_cross(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
 def _cross_tally_scan(A: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
     """The paper's cross scan: left/right/up/down tallies around every 1-entry, row-major.
 
-    Same verdict as ``contains_cross``; bench times it as the cross family's
-    full scan. A 1's left and right tallies are its index in its row's list
+    Same verdict as ``contains_cross``; bench times it as the full scan of
+    the four families that are crosses: the cross itself, the L-shape
+    (h, w, h, 1), the column of ones (k, 1, k, 1) and the row of ones
+    (1, w, 1, 1). A 1's left and right tallies are its index in its row's list
     of ones and the count after it; its up tally is streamed with
     per-column counters, and its down tally is the rest of its column total.
     """
@@ -528,7 +505,7 @@ class ColumnOnes(PatternClass):
     read = lambda P: (P.rows,) if P.cols == 1 else None
     build = lambda k: all_ones(k, 1)
     contains = lambda self, A: contains_column_ones(A, self.k)
-    scan = lambda self, A: max_column_ones(A) >= self.k
+    scan = lambda self, A: _cross_tally_scan(A, self.k, 1, self.k, 1)
     avoider = lambda self, n: _corner(n, self.k - 1, 0)
     bound = lambda self, m, n: _arm_bound(m, n, self.k, 1)
 
@@ -539,7 +516,7 @@ class RowOnes(PatternClass):
     read = lambda P: (P.cols,) if P.rows == 1 else None
     build = lambda w: all_ones(1, w)
     contains = lambda self, A: contains_lshape(A, 1, self.w)
-    scan = lambda self, A: max_column_ones(transpose(A)) >= self.w
+    scan = lambda self, A: _cross_tally_scan(A, 1, self.w, 1, 1)
     avoider = lambda self, n: _corner(n, 0, self.w - 1)
     bound = lambda self, m, n: _arm_bound(m, n, 1, self.w)
 
@@ -576,7 +553,7 @@ class LShape(PatternClass):
     read = lambda P: (P.rows, P.cols)
     build = lshape
     contains = lambda self, A: contains_lshape(A, self.h, self.w)
-    scan = lambda self, A: max_lshape_height(A, self.w) >= self.h
+    scan = lambda self, A: _cross_tally_scan(A, self.h, self.w, self.h, 1)
     avoider = lambda self, n: _corner(n, self.h - 1, 0)
     bound = lambda self, m, n: _arm_bound(m, n, self.h, self.w)
 
@@ -594,7 +571,7 @@ class Cross(PatternClass):
     read = _cross_center
     build = cross
     contains = lambda self, A: contains_cross(A, self.a, self.b, self.c, self.d)
-    scan = lambda self, A: _cross_tally_scan(A, self.a, self.b, self.c, self.d)  # no max_* form
+    scan = lambda self, A: _cross_tally_scan(A, self.a, self.b, self.c, self.d)
     avoider = lambda self, n: _corner(n, self.a - 1, 0)
     bound = lambda self, m, n: _arm_bound(m, n, self.a, self.b)
 

@@ -11,6 +11,9 @@ each other.
 ``identity_dp`` is the identity dynamic program with its full suffix table
 kept, the reference for the rolling two-column form in ``fast.max_tuple_identity_width``.
 
+``bit_matrices`` is the Hypothesis strategy for matrices of bounded size,
+one draw per cell.
+
 ``gen_random_reference`` and ``serialize_sparse_reference`` are the plain
 per-cell forms of ``bench.gen_random`` and ``matrix.serialize_sparse``: one
 ``random()`` draw per cell and one loop step per cell. The library's forms
@@ -26,6 +29,8 @@ only; the library's ``ex_exact`` must reproduce its value and witness.
 
 import random
 from itertools import combinations, product
+
+from hypothesis import strategies as st
 
 from patcon import BitMatrix, ExtremalRecord, contains_naive
 
@@ -44,6 +49,14 @@ def contains_textbook(A: BitMatrix, P: BitMatrix) -> bool:
     """True iff A, as a mask with cell i of its row-major cells at bit i, covers a copy of P."""
     M = sum(1 << i for i, v in enumerate(A.cells) if v)
     return any(M & c == c for c in copy_masks(P, A.rows, A.cols))
+
+
+@st.composite
+def bit_matrices(draw, max_rows=6, max_cols=6, min_rows=1, min_cols=1):
+    r = draw(st.integers(min_rows, max_rows))
+    c = draw(st.integers(min_cols, max_cols))
+    cells = draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))
+    return BitMatrix(r, c, bytes(cells))
 
 
 def random_matrix(rng, rows: int, cols: int, density: float = 0.5) -> BitMatrix:

@@ -277,23 +277,27 @@ class TestCsv:
 class TestRunnerFor:
     """bench times the paper's full scans, never the early-exit kernels."""
 
-    # label -> (fitting pattern, paper scan, kernel), names in patcon.fast
+    # family's label ("row" for the row of ones, which runs under "column") ->
+    # (pattern of that family, paper scan, kernel), names in patcon.fast
     CASES = {
-        "column": (all_ones(2, 1), "max_column_ones", "contains_column_ones"),
+        "column": (all_ones(2, 1), "_cross_tally_scan", "contains_column_ones"),
+        "row": (all_ones(1, 2), "_cross_tally_scan", "contains_lshape"),
         "identity": (identity(3), "max_tuple_identity_width", "contains_identity"),
         "tuple-identity": (tuple_identity(2, 2), "max_tuple_identity_width",
                            "contains_tuple_identity"),
-        "lshape": (lshape(2, 2), "max_lshape_height", "contains_lshape"),
+        "lshape": (lshape(2, 2), "_cross_tally_scan", "contains_lshape"),
         "cross": (cross(3, 3, 2, 2), "_cross_tally_scan", "contains_cross"),
         "allones": (all_ones(2, 2), "max_allones_rows", "contains_allones"),
     }
 
     def test_cases_cover_every_label(self):
-        assert set(self.CASES) == set(fast.LABELS)
+        """Every family has a case, and so every label has one."""
+        families = {type(fast.classify_pattern(P)) for P, _, _ in self.CASES.values()}
+        assert families == set(fast.PATTERN_SHAPES)
 
-    @pytest.mark.parametrize("label", sorted(CASES))
-    def test_label_runs_the_paper_scan(self, label, monkeypatch):
-        P, scan, kernel = self.CASES[label]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_label_runs_the_paper_scan(self, case, monkeypatch):
+        P, scan, kernel = self.CASES[case]
         real = getattr(fast, scan)
         calls = []
 
@@ -307,5 +311,6 @@ class TestRunnerFor:
         monkeypatch.setattr(fast, scan, recording)
         monkeypatch.setattr(fast, kernel, unexpected)
         A = gen_random(16, 0.5, 3)
+        label = fast.classify_pattern(P).label
         assert fast.decider(label, P, full_scan=True)(A) == contains_naive(A, P)
         assert calls

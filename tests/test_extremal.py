@@ -38,8 +38,7 @@ from patcon.extremal import upper_bound
 from patcon.fast import _arm_bound
 from patcon.naive import _greedy_columns
 
-from helpers import all_patterns_up_to, ex_by_enumeration, ex_reference
-from test_matrix import bit_matrices
+from helpers import all_patterns_up_to, bit_matrices, ex_by_enumeration, ex_reference
 
 G = parse_matrix("101\n011\n")
 
@@ -201,7 +200,7 @@ def copy_through(plans, colmasks, r, c) -> bool:
     )
 
 
-class TestCopiesThrough:
+class TestPlans:
     """The per-row plans the search tests in place of a full oracle call."""
 
     @given(

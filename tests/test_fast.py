@@ -28,7 +28,6 @@ from patcon import (
     identity,
     lshape,
     max_allones_rows,
-    max_lshape_height,
     max_tuple_identity_width,
     ones_prefilter,
     transpose,
@@ -41,8 +40,8 @@ from patcon.bench import gen_avoider
 from patcon.fast import (LABELS, AllOnes, ColumnOnes, Cross, General, Identity, LShape, RowOnes,
                          TupleIdentity, classify_pattern, match_label)
 
-from helpers import all_matrices, all_patterns_up_to, contains_textbook, identity_dp, random_matrix
-from test_matrix import bit_matrices
+from helpers import (all_matrices, all_patterns_up_to, bit_matrices, contains_textbook, identity_dp,
+                     random_matrix)
 
 
 class TestColumnOnes:
@@ -380,13 +379,6 @@ class TestKernels:
 
     def test_line_routes_read_only_row_masks(self, monkeypatch):
         """Every row-mask route decides without transpose, a column copy or packing a zero row."""
-        rng = random.Random(17)
-        cases = []
-        for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5), identity(3),
-                  identity(5), tuple_identity(2, 2), tuple_identity(3, 2), tuple_identity(2, 3),
-                  lshape(3, 3), cross(3, 3, 2, 2), all_ones(2, 2), all_ones(2, 3)):
-            avoider = gen_avoider(200, P)
-            cases += [(avoider, P, False), (self._planted(avoider, P, rng), P, True)]
 
         def refuse(*args):
             raise AssertionError("a row-mask route read a column or a transpose")
@@ -398,10 +390,35 @@ class TestKernels:
         monkeypatch.setattr(fast, "transpose", refuse)
         monkeypatch.setattr(BitMatrix, "column", refuse)
         monkeypatch.setattr(matrix, "bitmask", pack_nonzero)
-        for A, P, want in cases:
+        for A, P, want in _row_mask_cases():
             shape = classify_pattern(P)
             assert dispatch(A, P) is want, str(shape)
             assert shape.contains(A) is want, str(shape)
+
+    def test_cross_scans_never_transpose(self, monkeypatch):
+        """The paper scan of lines, L-shapes and crosses, the tally scan, reads A as it is."""
+
+        def refuse(*args):
+            raise AssertionError("a cross family's paper scan transposed A")
+
+        monkeypatch.setattr(fast, "transpose", refuse)
+        for A, P, want in _row_mask_cases():
+            shape = classify_pattern(P)
+            if isinstance(shape, (ColumnOnes, RowOnes, LShape, Cross)):
+                assert shape.scan(A) is want, str(shape)
+
+
+@lru_cache(maxsize=None)
+def _row_mask_cases():
+    """(A, P, verdict): an n = 200 avoider and a copy with P planted, for each row-mask route."""
+    rng = random.Random(17)
+    cases = []
+    for P in (all_ones(3, 1), all_ones(1, 3), all_ones(5, 1), all_ones(1, 5), identity(3),
+              identity(5), tuple_identity(2, 2), tuple_identity(3, 2), tuple_identity(2, 3),
+              lshape(3, 3), cross(3, 3, 2, 2), all_ones(2, 2), all_ones(2, 3)):
+        avoider = gen_avoider(200, P)
+        cases += [(avoider, P, False), (TestKernels._planted(avoider, P, rng), P, True)]
+    return cases
 
 
 # Every pattern up to 3x3 that no family fits: zero rows and columns, and tall ones, among them.
@@ -543,7 +560,6 @@ GUARDS = [
     (lambda: contains_tuple_identity(A3, 0, 1), ValueError, "j and k must be positive"),
     (lambda: max_tuple_identity_width(A3, 0), ValueError, "j must be positive"),
     (lambda: contains_lshape(A3, 0, 1), ValueError, "h and w must be positive"),
-    (lambda: max_lshape_height(A3, 0), ValueError, "w must be positive"),
     (lambda: contains_allones(A3, 1, 0), ValueError, "k and l must be positive"),
     (lambda: max_allones_rows(A3, 0), ValueError, "t must be positive"),
     (lambda: BitMatrix.from_rows([]), ValueError, "need at least one row"),

@@ -37,15 +37,7 @@ from patcon.fast import LABELS, match_label
 from patcon import matrix
 from patcon.matrix import column_masks, row_masks
 
-from helpers import NONCANONICAL_FILES, all_matrices, serialize_sparse_reference
-
-
-@st.composite
-def bit_matrices(draw, max_rows=6, max_cols=6, min_rows=1, min_cols=1):
-    r = draw(st.integers(min_rows, max_rows))
-    c = draw(st.integers(min_cols, max_cols))
-    cells = draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))
-    return BitMatrix(r, c, bytes(cells))
+from helpers import NONCANONICAL_FILES, all_matrices, bit_matrices, serialize_sparse_reference
 
 
 class TestBitMatrix:

@@ -14,8 +14,7 @@ from patcon import (
     zeros,
 )
 
-from helpers import all_matrices, all_patterns_up_to, contains_textbook, random_matrix
-from test_matrix import bit_matrices
+from helpers import all_matrices, all_patterns_up_to, bit_matrices, contains_textbook, random_matrix
 
 
 ANTI_DIAG_3 = BitMatrix.from_entries(3, 3, [(1, 3), (2, 2), (3, 1)])
